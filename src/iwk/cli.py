@@ -205,7 +205,7 @@ def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
                     raise ValueError("curve mismatch")
                 if ap * ap > 4 * ell:
                     raise ValueError("Hasse bound violated")
-                rec = TraceRecord(ell, ap, float(obj.get("computed_at", 0.0)))
+                rec = TraceRecord(ell, ap)
             except (ValueError, KeyError, TypeError) as e:
                 print(
                     f"warning: discarding corrupt cache entry {path}:{lineno} ({e})",
@@ -228,7 +228,6 @@ def _write_cache(E_min: EllipticCurveQ, path: str, records: Dict[int, TraceRecor
                         "curve": list(E_min.ainvs),
                         "ell": rec.prime,
                         "ap": rec.a_ell,
-                        "computed_at": rec.computed_at,
                     },
                     sort_keys=True,
                 )
@@ -544,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--curve", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--ap-bound", type=int, default=10**4, dest="ap_bound")
-    sp.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND)
     sp.add_argument("--rank", type=int, default=None)
     sp.add_argument("--mu", type=int, default=None)
     sp.add_argument("--lambda", type=int, default=None, dest="lam")

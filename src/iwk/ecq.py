@@ -9,8 +9,8 @@ the cyclotomic tower at potentially multiplicative primes.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -42,25 +42,26 @@ class EllipticCurveQ:
     def __post_init__(self):
         if self.discriminant == 0:
             raise ValueError("singular Weierstrass equation")
-        assert self.c4**3 - self.c6**2 == 1728 * self.discriminant
+        if self.c4**3 - self.c6**2 != 1728 * self.discriminant:
+            raise PostconditionFailed("c4^3 - c6^2 != 1728 * discriminant")
 
     @property
     def ainvs(self) -> Tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
-    @property
+    @functools.cached_property
     def b2(self) -> int:
         return self.a1**2 + 4 * self.a2
 
-    @property
+    @functools.cached_property
     def b4(self) -> int:
         return 2 * self.a4 + self.a1 * self.a3
 
-    @property
+    @functools.cached_property
     def b6(self) -> int:
         return self.a3**2 + 4 * self.a6
 
-    @property
+    @functools.cached_property
     def b8(self) -> int:
         return (
             self.a1**2 * self.a6
@@ -70,15 +71,15 @@ class EllipticCurveQ:
             - self.a4**2
         )
 
-    @property
+    @functools.cached_property
     def c4(self) -> int:
         return self.b2**2 - 24 * self.b4
 
-    @property
+    @functools.cached_property
     def c6(self) -> int:
         return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
 
-    @property
+    @functools.cached_property
     def discriminant(self) -> int:
         return (
             -self.b2**2 * self.b8
@@ -87,7 +88,7 @@ class EllipticCurveQ:
             + 9 * self.b2 * self.b4 * self.b6
         )
 
-    @property
+    @functools.cached_property
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4**3, self.discriminant)
 
@@ -111,10 +112,6 @@ class EllipticCurveQ:
         if any(c.denominator != 1 for c in coeffs):
             raise ValueError("transformation does not yield an integral model")
         return EllipticCurveQ(*(int(c) for c in coeffs))
-
-
-def curve_from_ainvs(ainvs: Tuple[int, int, int, int, int]) -> EllipticCurveQ:
-    return EllipticCurveQ(*ainvs)
 
 
 class ReductionKind(enum.Enum):
@@ -152,18 +149,18 @@ class ReductionInfo:
     twist_class_gamma: Optional[TwistClass] = None
 
     def __post_init__(self):
-        if self.kind == ReductionKind.GOOD:
-            assert self.potentially == Potentially.POT_GOOD
+        if self.kind == ReductionKind.GOOD and self.potentially != Potentially.POT_GOOD:
+            raise PostconditionFailed("good reduction must be potentially good")
 
 
 @dataclass(frozen=True)
 class TraceRecord:
     prime: int
     a_ell: int
-    computed_at: float
 
     def __post_init__(self):
-        assert self.a_ell**2 <= 4 * self.prime
+        if self.a_ell**2 > 4 * self.prime:
+            raise PostconditionFailed(f"a_ell = {self.a_ell} violates the Hasse bound at {self.prime}")
 
 
 # ---------------------------------------------------------------------------
@@ -228,27 +225,20 @@ def minimal_model(
 ) -> Tuple[EllipticCurveQ, Tuple[int, Fraction, Fraction, Fraction]]:
     """Global minimal model and the exact transform (u, r, s, t) onto it."""
     c4, c6 = E.c4, E.c6
+    # ell^4 | c4 and ell^6 | c6 wherever the model is not minimal
     u = 1
-    if c4 and c6:
-        g = math.gcd(abs(c4), abs(c6))
-        candidates = set(factorint(g)) if g > 1 else set()
-    elif c4 == 0:
-        candidates = set(factorint(abs(c6)))
-    else:
-        candidates = set(factorint(abs(c4)))
-    disc = E.discriminant
-    for ell in sorted(candidates):
-        k = _minimality_exponent(c4, c6, disc, ell)
-        if k:
-            u *= ell**k
+    for ell in factorint(math.gcd(c4, c6)):
+        u *= ell ** _minimality_exponent(c4, c6, E.discriminant, ell)
     E_min = _curve_from_c4c6(c4 // u**4, c6 // u**6)
-    # solve for the unique (r, s, t) relating E to E_min at this u
+    # solve a1, a2, a3 of `transformed` for the unique (r, s, t) at this u
     s = Fraction(u * E_min.a1 - E.a1, 2)
     r = Fraction(u**2 * E_min.a2 - E.a2 + s * E.a1 + s * s, 3)
     t = Fraction(u**3 * E_min.a3 - E.a3 - r * E.a1, 2)
-    a4_check = (E.a4 - s * E.a3 + 2 * r * E.a2 - (t + r * s) * E.a1 + 3 * r * r - 2 * s * t) / u**4
-    a6_check = (E.a6 + r * E.a4 + r * r * E.a2 + r**3 - t * E.a3 - t * t - r * t * E.a1) / u**6
-    if a4_check != E_min.a4 or a6_check != E_min.a6:
+    try:
+        verified = E.transformed(u, r, s, t) == E_min
+    except ValueError:
+        verified = False
+    if not verified:
         raise PostconditionFailed("minimal-model transform verification failed")
     if E.discriminant % E_min.discriminant:
         raise PostconditionFailed("minimal discriminant does not divide the input's")
@@ -279,42 +269,27 @@ def _singular_point_mod_ell(E: EllipticCurveQ, ell: int) -> Tuple[int, int]:
 def _tangent_directions_split(E: EllipticCurveQ, ell: int) -> bool:
     """Decide split vs non-split by rationality of the node's tangent cone."""
     x0, y0 = _singular_point_mod_ell(E, ell)
-    # translate the node to the origin: (u, r, s, t) = (1, x0, 0, y0)
-    a1 = E.a1 % ell
-    a2 = (E.a2 + 3 * x0) % ell
+    node = E.transformed(1, x0, 0, y0)  # the node moved to the origin
+    a1, a2 = node.a1 % ell, node.a2 % ell
     # quadratic part is y^2 + a1' x y - a2' x^2; split iff it has a root in F_ell
     return any((t * t + a1 * t - a2) % ell == 0 for t in range(ell))
 
 
-def _square_class_odd(value: int, ell: int) -> TwistClass:
+def _square_class(value: int, ell: int) -> TwistClass:
+    """Class of a nonzero integer in Q_ell^x / (Q_ell^x)^2."""
     v = int(ord_p(value, ell))
     unit = value // ell**v
-    square_unit = kronecker_symbol(unit, ell) == 1
+    if ell == 2:
+        if v % 2 == 0 and unit % 8 in (3, 7):
+            return TwistClass.UNIT_RAMIFIED
+        square_unit = unit % 8 == 1
+    else:
+        square_unit = kronecker_symbol(unit, ell) == 1
     if v % 2 == 0:
         return TwistClass.UNIT_SQUARE if square_unit else TwistClass.UNIT_NONSQUARE
     return (
         TwistClass.UNIFORMIZER_TIMES_SQUARE
         if square_unit
-        else TwistClass.UNIFORMIZER_TIMES_NONSQUARE
-    )
-
-
-_TWO_ADIC_CLASS_REPS = (1, 5, -1, -5, 2, 10, -2, -10)
-
-
-def _square_class_2(d: int) -> TwistClass:
-    v = int(ord_p(d, 2)) % 2
-    unit = d // 2 ** int(ord_p(d, 2))
-    um8 = unit % 8
-    if v == 0:
-        if um8 == 1:
-            return TwistClass.UNIT_SQUARE
-        if um8 == 5:
-            return TwistClass.UNIT_NONSQUARE
-        return TwistClass.UNIT_RAMIFIED
-    return (
-        TwistClass.UNIFORMIZER_TIMES_SQUARE
-        if um8 == 1
         else TwistClass.UNIFORMIZER_TIMES_NONSQUARE
     )
 
@@ -336,26 +311,16 @@ def _classify_kind(E: EllipticCurveQ, ell: int) -> Tuple[ReductionKind, Potentia
     return kind, pot
 
 
-def _twist_class_at_2(E: EllipticCurveQ) -> TwistClass:
-    """Find the square class of the parameter whose twist is split at 2.
-
-    Trial-twists through representatives of all eight classes of Q_2^x;
-    exactly one twist acquires split multiplicative reduction.
-    """
-    for d in _TWO_ADIC_CLASS_REPS:
-        Ed = quadratic_twist(E, d) if d != 1 else minimal_model(E)[0]
-        kind, _ = _classify_kind(Ed, 2)
-        if kind == ReductionKind.MULT_SPLIT:
-            return _square_class_2(d)
-    raise PostconditionFailed("no twist of a POT_MULT curve is split at 2")
-
-
 def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
-    """Classify the special fiber at ell on a model minimal there."""
+    """Classify the special fiber at ell on a model minimal there.
+
+    At a potentially multiplicative prime, gamma is the class of -c4/c6 in
+    Q_ell^x / (Q_ell^x)^2 (Silverman, Advanced Topics in the Arithmetic of
+    Elliptic Curves, Thm V.5.3); c4 is a square there, so it is the class
+    of -c6, and twisting by it gives split multiplicative reduction.
+    """
     kind, pot = _classify_kind(E, ell)
-    gamma = None
-    if pot == Potentially.POT_MULT:
-        gamma = _twist_class_at_2(E) if ell == 2 else _square_class_odd(-E.c6, ell)
+    gamma = _square_class(-E.c6, ell) if pot == Potentially.POT_MULT else None
     return ReductionInfo(ell, kind, pot, gamma)
 
 
@@ -430,7 +395,7 @@ def count_points_ap(
     nonzero = f != 0
     s = 2 * int(is_square[f[nonzero]].sum()) - int(nonzero.sum())
     a = -s
-    return TraceRecord(ell, a, time.time())
+    return TraceRecord(ell, a)
 
 
 # ---------------------------------------------------------------------------
@@ -460,20 +425,17 @@ def torsion_in_cyclotomic_local(E: EllipticCurveQ, ell: int, p: int) -> bool:
 
 
 def potentially_multiplicative_primes(E: EllipticCurveQ) -> List[int]:
-    """Primes where the j-invariant has negative valuation (minimal model)."""
-    E_min = canonical_minimal(E)
-    return sorted(
-        ell
-        for ell in factorint(abs(E_min.discriminant))
-        if E_min.j_valuation(ell) < 0
-    )
+    """Primes where the j-invariant has negative valuation."""
+    return sorted(factorint(E.j_invariant.denominator))
 
 
 def bad_primes(E: EllipticCurveQ) -> List[int]:
-    E_min = canonical_minimal(E)
-    return sorted(factorint(abs(E_min.discriminant)))
+    return sorted(factorint(abs(canonical_minimal(E).discriminant)))
 
 
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:
     E_min = canonical_minimal(E)
-    return {ell: reduction_type(E_min, ell) for ell in bad_primes(E_min)}
+    return {
+        ell: reduction_type(E_min, ell)
+        for ell in sorted(factorint(abs(E_min.discriminant)))
+    }

@@ -209,7 +209,8 @@ def weierstrass_prepare(
         cap = p ** (j + 1)
         prod = mul_mod(f, u, cap)
         r = [(sp[k] - prod[k]) % cap for k in range(D)]
-        assert all(c % pj == 0 for c in r)
+        if any(c % pj for c in r):
+            raise PostconditionFailed("Weierstrass lift residue not divisible by p^j")
         E = [(c // pj) % p for c in r]
         u_inv_p = TruncatedSeries(p, 1, D, tuple(u)).inverse().coefficients
         w = mul_mod(E, list(u_inv_p), p)

@@ -6,12 +6,13 @@ precision N is its canonical representative in [0, p^N).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from sympy import isprime
 
-from .errors import IwkError
+from .errors import IwkError, PostconditionFailed
 
 # ord_p(0); compares greater than every natural number and absorbs addition.
 INFINITY = float("inf")
@@ -19,6 +20,7 @@ INFINITY = float("inf")
 Valuation = Union[int, float]
 
 
+@functools.lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
     if p < 2 or not isprime(p):
         raise ValueError(f"{p} is not prime")
@@ -89,7 +91,8 @@ def multiplicative_order(a: int, p: int) -> int:
     if m > 1:
         while f % m == 0 and pow(a, f // m, p) == 1:
             f //= m
-    assert pow(a, f, p) == 1
+    if pow(a, f, p) != 1:
+        raise PostconditionFailed(f"{a}^{f} != 1 mod {p}")
     return f
 
 
@@ -158,7 +161,8 @@ def teichmuller(a: int, p: int, N: int) -> PadicInt:
     x = a % mod
     for _ in range(N):
         x = pow(x, p, mod)
-    assert pow(x, p - 1, mod) == 1 and x % p == a % p
+    if pow(x, p - 1, mod) != 1 or x % p != a % p:
+        raise PostconditionFailed("Teichmuller lift is not a (p-1)-st root of unity lifting a")
     return PadicInt(p, N, x)
 
 
@@ -210,5 +214,6 @@ def hensel_sqrt(a: int, p: int, N: int) -> Optional[PadicInt]:
         mod = p**k
         # Newton step: x <- x - (x^2 - a) / (2x)
         x = (x - (x * x - a) * pow(2 * x, -1, mod)) % mod
-    assert x * x % p**N == a % p**N
+    if x * x % p**N != a % p**N:
+        raise PostconditionFailed("Hensel square root does not square to a")
     return PadicInt(p, N, x)

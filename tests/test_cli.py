@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from iwk import cli
 from iwk.cli import (
     CurveRecord,
     analyze_curve,
@@ -206,17 +207,25 @@ def test_curve_record_rejects_singular():
 
 
 def test_cache_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path))
     E = EllipticCurveQ(0, 0, 1, -7, 6)
-    first = cache_traces(E, 100)
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    blob = files[0].read_text()
-    second = cache_traces(E, 100)
-    assert [(r.prime, r.a_ell) for r in first] == [(r.prime, r.a_ell) for r in second]
-    assert files[0].read_text() == blob  # untouched on a pure cache hit
-    # reloaded records are byte-identical, timestamps included
-    assert [r.computed_at for r in first] == [r.computed_at for r in second]
+    blobs = []
+    for name in ("a", "b"):
+        monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path / name))
+        first = cache_traces(E, 100)
+        (path,) = (tmp_path / name).iterdir()
+        blobs.append(path.read_bytes())
+    assert blobs[0] == blobs[1]  # no wall-clock field: fills are reproducible
+
+    def recount(*args, **kwargs):
+        raise AssertionError("a_ell recomputed although it is cached")
+
+    monkeypatch.setattr(cli, "count_points_ap", recount)
+    assert cache_traces(E, 100) == first
+    assert path.read_bytes() == blobs[1]  # untouched on a pure cache hit
+    # files written with a computed_at timestamp still load
+    rows = [json.loads(line) for line in blobs[1].decode().splitlines()]
+    path.write_text("".join(json.dumps({**row, "computed_at": 1.6e9}) + "\n" for row in rows))
+    assert cache_traces(E, 100) == first
 
 
 def test_cache_poisoning_recovers(tmp_path, monkeypatch, capsys):

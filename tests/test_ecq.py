@@ -1,9 +1,14 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from sympy import factorint
 
+import iwk
 from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime
 from iwk.ecq import (
     EllipticCurveQ,
@@ -356,3 +361,85 @@ def test_twist_class_at_2():
     # 26b1 is split at 2
     E26 = EllipticCurveQ(1, -1, 1, -3, 3)
     assert reduction_type(E26, 2).twist_class_gamma == TwistClass.UNIT_SQUARE
+
+
+# Representatives of the eight classes of Q_2^x / (Q_2^x)^2 and the class
+# each stands for, written out independently of the code under test.
+_TWO_ADIC_CLASSES = {
+    1: TwistClass.UNIT_SQUARE,
+    5: TwistClass.UNIT_NONSQUARE,
+    -1: TwistClass.UNIT_RAMIFIED,
+    -5: TwistClass.UNIT_RAMIFIED,
+    2: TwistClass.UNIFORMIZER_TIMES_SQUARE,
+    10: TwistClass.UNIFORMIZER_TIMES_NONSQUARE,
+    -2: TwistClass.UNIFORMIZER_TIMES_NONSQUARE,
+    -10: TwistClass.UNIFORMIZER_TIMES_NONSQUARE,
+}
+
+
+def _gamma_at_2_by_trial_twist(E):
+    """gamma at 2 the slow way: exactly one twist by a class representative
+    is split multiplicative at 2, and gamma is that representative's class."""
+    split = [
+        d
+        for d in _TWO_ADIC_CLASSES
+        if reduction_type(quadratic_twist(E, d), 2).kind == ReductionKind.MULT_SPLIT
+    ]
+    assert len(split) == 1, split
+    return _TWO_ADIC_CLASSES[split[0]]
+
+
+def test_gamma_and_pot_mult_primes_on_random_curves():
+    # gamma from -c6 against trial twisting at 2, and the primes of the
+    # j-denominator against the bad primes of the minimal model with
+    # v_ell(j) < 0, on random curves potentially multiplicative at 2, their
+    # twists and random models of them
+    rng = random.Random(20220330)
+    seen = set()
+    bases = 0
+    while bases < 60:
+        a = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+             rng.randint(-60, 60), rng.randint(-60, 60))
+        try:
+            E = EllipticCurveQ(*a)
+        except ValueError:
+            continue
+        if E.j_valuation(2) >= 0:
+            continue
+        bases += 1
+        E_min = canonical_minimal(E)
+        expected = [
+            ell for ell in sorted(factorint(abs(E_min.discriminant)))
+            if E_min.j_valuation(ell) < 0
+        ]
+        assert potentially_multiplicative_primes(E) == expected, a
+        u = rng.choice((1, 2, 3, 6))
+        r, s, t = (rng.randint(-9, 9) for _ in range(3))
+        model = E.transformed(Fraction(1, u), r, s, t)
+        assert potentially_multiplicative_primes(model) == expected, (a, u, r, s, t)
+        for d in _TWO_ADIC_CLASSES:
+            V = quadratic_twist(E, d)
+            assert potentially_multiplicative_primes(V) == expected, (a, d)
+            gamma = reduction_type(V, 2).twist_class_gamma
+            assert gamma == _gamma_at_2_by_trial_twist(V), (a, d)
+            seen.add(gamma)
+    assert seen == set(TwistClass)
+
+
+def test_postconditions_survive_python_O():
+    # a postcondition must not be a bare assert, which python -O strips
+    code = (
+        "from iwk.ecq import TraceRecord\n"
+        "from iwk.errors import PostconditionFailed\n"
+        "try:\n"
+        "    TraceRecord(5, 5)\n"
+        "except PostconditionFailed:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('Hasse bound violation went unnoticed')\n"
+    )
+    src = os.path.dirname(os.path.dirname(iwk.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 0, result.stderr
