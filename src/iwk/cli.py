@@ -50,7 +50,6 @@ from .ecq import (
     TraceRecord,
     canonical_minimal,
     count_points_ap,
-    minimal_model,
     reduction_summary,
 )
 from .conditions import (
@@ -284,7 +283,7 @@ def analyze_curve(
     source: str = "",
     label: str = "",
 ) -> AnalysisReport:
-    E_min, (u, _, _, _) = minimal_model(E)
+    E_min, (u, _, _, _) = E.minimal
     reductions = {
         str(ell): {
             "kind": info.kind.value,

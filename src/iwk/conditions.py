@@ -10,13 +10,16 @@ j-invariants.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from itertools import zip_longest
+from typing import Dict, List, Optional, Set, Tuple
 
 import sympy
 from sympy import primerange
 
 from .errors import BadReductionAtP
+from .iwasawa import poly_mul
 from .padic import kronecker_symbol, multiplicative_order, ord_p
 from .ecq import (
     EllipticCurveQ,
@@ -144,35 +147,48 @@ DEFAULT_PRIME_BOUND = 10**4
 
 
 def _division_polynomial_x(A: int, B: int, n: int):
-    """n-th division polynomial of y^2 = x^3 + Ax + B as a poly in x (n odd)."""
-    x, y = sympy.symbols("x y")
-    f = x**3 + A * x + B
-    psi = {0: sympy.Integer(0), 1: sympy.Integer(1), 2: 2 * y}
-    psi[3] = 3 * x**4 + 6 * A * x**2 + 12 * B * x - A**2
-    psi[4] = 4 * y * (
-        x**6 + 5 * A * x**4 + 20 * B * x**3 - 5 * A**2 * x**2 - 4 * A * B * x
-        - 8 * B**2 - A**3
-    )
+    """n-th division polynomial of y^2 = x^3 + Ax + B as a poly in x (n odd).
 
-    def reduce_y(expr):
-        return sympy.expand(sympy.expand(expr).subs(y**4, f * f).subs(y**2, f))
+    Built on integer coefficient lists, lowest degree first: P[m] is psi_m
+    for odd m and psi_m / 2y for even m, so y enters the usual recurrences
+    only through (2y)^4 = (4f)^2.
+    """
+    sixteen_f2 = poly_mul([16 * B, 16 * A, 0, 16], [B, A, 0, 1])
+    P = {
+        1: [1],
+        2: [1],
+        3: [-A * A, 12 * B, 6 * A, 0, 3],
+        4: [-16 * B * B - 2 * A**3, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2],
+    }
+
+    def minus(a, b):
+        out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    def prod(*factors):
+        return functools.reduce(poly_mul, factors)
 
     def get(m):
-        if m in psi:
-            return psi[m]
-        k = m // 2
-        if m % 2 == 1:
-            val = get(k + 2) * get(k) ** 3 - get(k - 1) * get(k + 1) ** 3
-        else:
-            val = sympy.cancel(
-                get(k) * (get(k + 2) * get(k - 1) ** 2 - get(k - 2) * get(k + 1) ** 2) / (2 * y)
-            )
-        psi[m] = reduce_y(val)
-        return psi[m]
+        if m not in P:
+            k = m // 2
+            if m % 2:  # psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3
+                u = prod(get(k + 2), get(k), get(k), get(k))
+                v = prod(get(k - 1), get(k + 1), get(k + 1), get(k + 1))
+                # the term whose four factors have even index carries (2y)^4
+                if k % 2:
+                    v = poly_mul(v, sixteen_f2)
+                else:
+                    u = poly_mul(u, sixteen_f2)
+                P[m] = minus(u, v)
+            else:  # psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / 2y, over 2y:
+                # each term has two even-index factors, whose (2y)^2 cancels
+                P[m] = poly_mul(get(k), minus(prod(get(k + 2), get(k - 1), get(k - 1)),
+                                             prod(get(k - 2), get(k + 1), get(k + 1))))
+        return P[m]
 
-    out = reduce_y(get(n))
-    poly = sympy.Poly(out, x)
-    return poly
+    return sympy.Poly(get(n)[::-1], sympy.Symbol("x"))
 
 
 def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int]]:
@@ -187,6 +203,29 @@ def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int
     return degrees
 
 
+def _never_witnessed(E_min: EllipticCurveQ, p: int) -> Set[str]:
+    """Witness classes that no good prime ell >= 5 can fill.
+
+    At p = 3 a nonzero a gives a^2 - 4 ell = 1 - ell, 0 or 2 mod 3, never a
+    nonzero square.  With CM by an order in K, a good ell >= 5 is either
+    inert or ramified in K, so a_ell = 0 (Deuring), or split, so that
+    a^2 - 4 ell = d_K b^2 and its character mod p is 0 or (d_K/p), which
+    equals (D/p) for every order discriminant D of the table and odd p.
+    """
+    never = set()
+    if p == 3:
+        never.add("nonsplit_cartan_normalizer")
+    j = E_min.j_invariant
+    for jv, disc, _ in CM_J_TABLE:
+        if j == jv:
+            chi = kronecker_symbol(disc, p)
+            if chi >= 0:
+                never.add("split_cartan_normalizer")
+            if chi <= 0:
+                never.add("nonsplit_cartan_normalizer")
+    return never
+
+
 def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Verdict:
     """Mod-p surjectivity test by ruling out every maximal-subgroup class.
 
@@ -196,6 +235,8 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     a^2/ell outside {0, 1, 2, 4} and the roots of u^2 - 3u + 1 rules out the
     exceptional projective images.  The determinant is onto via the
     cyclotomic character, so full coverage certifies surjectivity mod p.
+    The scan stops once every class still open is one that no good prime
+    ell >= 5 can witness; the full scan would return the same verdict.
     """
     E_min = _require_good_odd_p(E, p)
     params: Dict = {"prime_bound": prime_bound}
@@ -216,10 +257,13 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
         # exceptional class is vacuous once det is onto.
         found["exceptional"] = (0, "vacuous for p = 3")
 
+    never = _never_witnessed(E_min, p)
     disc = E_min.discriminant
     for ell in primerange(3, prime_bound + 1):
         if all(found.values()):
             break
+        if ell >= 5 and all(found[c] or c in never for c in found):
+            break  # the full scan could not fill the classes still open
         if ell == p or disc % ell == 0:
             continue
         a = count_points_ap(E_min, ell).a_ell % p

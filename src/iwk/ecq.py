@@ -92,6 +92,11 @@ class EllipticCurveQ:
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4**3, self.discriminant)
 
+    @functools.cached_property
+    def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, Fraction, Fraction, Fraction]]:
+        """`minimal_model(self)`, built once per curve object."""
+        return minimal_model(self)
+
     def j_valuation(self, ell: int) -> Valuation:
         """ord_ell of the j-invariant (negative iff ell divides the denominator)."""
         j = self.j_invariant
@@ -223,7 +228,11 @@ def _curve_from_c4c6(c4: int, c6: int) -> EllipticCurveQ:
 def minimal_model(
     E: EllipticCurveQ,
 ) -> Tuple[EllipticCurveQ, Tuple[int, Fraction, Fraction, Fraction]]:
-    """Global minimal model and the exact transform (u, r, s, t) onto it."""
+    """Global minimal model and the exact transform (u, r, s, t) onto it.
+
+    The minimal model comes back with its own `minimal` entry set to itself
+    and (1, 0, 0, 0), so nothing rebuilds it.
+    """
     c4, c6 = E.c4, E.c6
     # ell^4 | c4 and ell^6 | c6 wherever the model is not minimal
     u = 1
@@ -242,6 +251,7 @@ def minimal_model(
         raise PostconditionFailed("minimal-model transform verification failed")
     if E.discriminant % E_min.discriminant:
         raise PostconditionFailed("minimal discriminant does not divide the input's")
+    E_min.__dict__["minimal"] = (E_min, (1, 0, 0, 0))
     return E_min, (u, r, s, t)
 
 
@@ -348,7 +358,7 @@ def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
 
 
 def canonical_minimal(E: EllipticCurveQ) -> EllipticCurveQ:
-    return minimal_model(E)[0]
+    return E.minimal[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from iwk import cli
+from conftest import CORPUS
+from iwk import cli, ecq
 from iwk.cli import (
     CurveRecord,
     analyze_curve,
@@ -16,6 +19,7 @@ from iwk.cli import (
     parse_poly_literal,
 )
 from iwk.ecq import EllipticCurveQ
+from iwk.twist import construct_c2_twist
 from iwk.zpmod import FgZpModule
 
 
@@ -107,6 +111,57 @@ def test_report_determinism(capsys):
     main(args)
     second = capsys.readouterr().out
     assert first == second
+
+
+# SHA-256 of the reports below, computed before the C1 scan learned to stop
+# early, the division polynomials became integer lists and the minimal model
+# was cached; any change to the report bytes must change this value on purpose.
+GOLDEN_CORPUS_SHA256 = "e7c663fb2d3d027548552e3a148ba8b478f1285e67aa90b2c14a48a2dd784c37"
+
+
+def test_corpus_reports_golden():
+    """analyze_curve at ap_bound 10^4 on every good (standard curve, p <= 13)
+    pair, plus the C2 twist wherever C2 fails."""
+    digest = hashlib.sha256()
+    pairs = 0
+    for label, a in CORPUS:
+        E = EllipticCurveQ(*a)
+        for p in (3, 5, 7, 11, 13):
+            if E.discriminant % p == 0:
+                continue
+            pairs += 1
+            report = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
+            digest.update(report.to_json().encode())
+            if report.data["verdicts"]["C2"]["status"] == "FAILS":
+                E_tw, cert = construct_c2_twist(E, p)
+                digest.update(
+                    json.dumps([list(E_tw.ainvs), cert.to_json_dict()], sort_keys=True).encode()
+                )
+    assert pairs == 93
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+
+
+def test_minimal_model_built_once(monkeypatch):
+    builds = []
+    build = ecq.minimal_model
+
+    def counting_build(E):
+        builds.append(E)
+        return build(E)
+
+    monkeypatch.setattr(ecq, "minimal_model", counting_build)
+    E11 = EllipticCurveQ(0, -1, 1, -10, -20)
+    E = E11.transformed(Fraction(1, 6), 1, -1, 2)  # non-minimal at 2 and 3
+    report = analyze_curve(E, 3)
+    assert report.data["curve"]["scaling_u"] == 6
+    assert report.data["curve"]["minimal_ainvs"] == list(E11.ainvs)
+    assert builds == [E]
+    E_min = E.minimal[0]
+    assert E_min.minimal == (E_min, (1, 0, 0, 0))
+    # the twist reuses E's minimal model and builds only the twisted curve's
+    E_tw, cert = construct_c2_twist(E, 3)
+    assert cert.d == -55 and len(builds) == 2
+    assert E_tw.minimal[0] is E_tw
 
 
 # ---------------------------------------------------------------------------
