@@ -13,7 +13,7 @@ import enum
 import functools
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import sympy
 from sympy import primerange
@@ -203,29 +203,6 @@ def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int
     return degrees
 
 
-def _never_witnessed(E_min: EllipticCurveQ, p: int) -> Set[str]:
-    """Witness classes that no good prime ell >= 5 can fill.
-
-    At p = 3 a nonzero a gives a^2 - 4 ell = 1 - ell, 0 or 2 mod 3, never a
-    nonzero square.  With CM by an order in K, a good ell >= 5 is either
-    inert or ramified in K, so a_ell = 0 (Deuring), or split, so that
-    a^2 - 4 ell = d_K b^2 and its character mod p is 0 or (d_K/p), which
-    equals (D/p) for every order discriminant D of the table and odd p.
-    """
-    never = set()
-    if p == 3:
-        never.add("nonsplit_cartan_normalizer")
-    j = E_min.j_invariant
-    for jv, disc, _ in CM_J_TABLE:
-        if j == jv:
-            chi = kronecker_symbol(disc, p)
-            if chi >= 0:
-                never.add("split_cartan_normalizer")
-            if chi <= 0:
-                never.add("nonsplit_cartan_normalizer")
-    return never
-
-
 def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Verdict:
     """Mod-p surjectivity test by ruling out every maximal-subgroup class.
 
@@ -235,8 +212,6 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     a^2/ell outside {0, 1, 2, 4} and the roots of u^2 - 3u + 1 rules out the
     exceptional projective images.  The determinant is onto via the
     cyclotomic character, so full coverage certifies surjectivity mod p.
-    The scan stops once every class still open is one that no good prime
-    ell >= 5 can witness; the full scan would return the same verdict.
     """
     E_min = _require_good_odd_p(E, p)
     params: Dict = {"prime_bound": prime_bound}
@@ -257,13 +232,10 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
         # exceptional class is vacuous once det is onto.
         found["exceptional"] = (0, "vacuous for p = 3")
 
-    never = _never_witnessed(E_min, p)
     disc = E_min.discriminant
     for ell in primerange(3, prime_bound + 1):
         if all(found.values()):
             break
-        if ell >= 5 and all(found[c] or c in never for c in found):
-            break  # the full scan could not fill the classes still open
         if ell == p or disc % ell == 0:
             continue
         a = count_points_ap(E_min, ell).a_ell % p

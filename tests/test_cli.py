@@ -113,9 +113,9 @@ def test_report_determinism(capsys):
     assert first == second
 
 
-# SHA-256 of the reports below, computed before the C1 scan learned to stop
-# early, the division polynomials became integer lists and the minimal model
-# was cached; any change to the report bytes must change this value on purpose.
+# SHA-256 of the reports below, computed before the division polynomials
+# became integer lists and the minimal model was cached; any change to the
+# report bytes must change this value on purpose.
 GOLDEN_CORPUS_SHA256 = "e7c663fb2d3d027548552e3a148ba8b478f1285e67aa90b2c14a48a2dd784c37"
 
 

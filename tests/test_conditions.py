@@ -14,8 +14,7 @@ from iwk.conditions import (
     check_c2_sufficient,
     check_c3,
 )
-from iwk.ecq import EllipticCurveQ, canonical_minimal, count_points_ap, quadratic_twist
-from iwk.padic import kronecker_symbol
+from iwk.ecq import EllipticCurveQ, quadratic_twist
 
 
 def test_verdict_invariants():
@@ -167,7 +166,7 @@ def test_cm_table_shape():
 
 
 # ---------------------------------------------------------------------------
-# Division polynomials and the C1 stop rule against their former versions.
+# Division polynomials against their former symbolic construction.
 
 
 def _symbolic_division_polynomial(A, B, n):
@@ -212,105 +211,3 @@ def test_integer_division_polynomial_matches_symbolic():
             assert got.LC() == n and got.degree() == (n * n - 1) // 2
     # n = 9 goes through the even-index recurrence (psi_6)
     assert conditions._division_polynomial_x(-3, 5, 9) == _symbolic_division_polynomial(-3, 5, 9)
-
-
-def _c1_full_scan(E, p, prime_bound):
-    """check_c1_str as a scan of every prime up to the bound, with no stop
-    rule: the reference the stop rule must agree with."""
-    E_min = canonical_minimal(E)
-    params = {"prime_bound": prime_bound}
-    if p <= 7:
-        degrees = conditions._division_poly_reducible(E_min, p)
-        if degrees is not None:
-            return Verdict(
-                "C1_str", Status.FAILS,
-                ((p, f"division polynomial factors with degrees {degrees}"),), params,
-            )
-    found = {c: None for c in conditions._WITNESS_CLASSES}
-    if p == 3:
-        found["exceptional"] = (0, "vacuous for p = 3")
-    for ell in sympy.primerange(3, prime_bound + 1):
-        if all(found.values()):
-            break
-        if ell == p or E_min.discriminant % ell == 0:
-            continue
-        a = count_points_ap(E_min, ell).a_ell % p
-        D = (a * a - 4 * ell) % p
-        chi = kronecker_symbol(D, p)
-        if chi == -1 and found["borel"] is None:
-            found["borel"] = (ell, f"a={a}, disc nonsquare mod {p}")
-        if a != 0:
-            if chi == -1 and found["split_cartan_normalizer"] is None:
-                found["split_cartan_normalizer"] = (ell, f"a={a}, disc nonsquare mod {p}")
-            if chi == 1 and found["nonsplit_cartan_normalizer"] is None:
-                found["nonsplit_cartan_normalizer"] = (ell, f"a={a}, disc nonzero square mod {p}")
-            if found["exceptional"] is None:
-                u = a * a * pow(ell, -1, p) % p
-                if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
-                    found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
-    if all(found.values()):
-        witnesses = tuple((ell, f"{cls}: {detail}") for cls, (ell, detail) in found.items())
-        return Verdict("C1_str", Status.HOLDS, witnesses, params)
-    missing = [c for c, w in found.items() if w is None]
-    return Verdict("C1_str", Status.INCONCLUSIVE, (), {**params, "unresolved_classes": missing})
-
-
-def test_c1_stop_rule_matches_full_scan(monkeypatch):
-    bound = 1000
-    curves = []
-    for j, disc, _ in CM_J_TABLE:
-        if j == 0:
-            E = EllipticCurveQ(0, 0, 0, 0, 1)
-        elif j == 1728:
-            E = EllipticCurveQ(0, 0, 0, 1, 0)
-        else:  # y^2 = x^3 + 3j(1728 - j) x + 2j(1728 - j)^2 has invariant j
-            E = EllipticCurveQ(0, 0, 0, 3 * j * (1728 - j), 2 * j * (1728 - j) ** 2)
-        assert E.j_invariant == j
-        curves += [(disc, quadratic_twist(E, d)) for d in (1, -1, 5, -7)]
-    rng = random.Random(20220330)
-    while sum(1 for disc, _ in curves if disc is None) < 8:
-        a = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
-             rng.randint(-30, 30), rng.randint(-30, 30))
-        try:
-            E = EllipticCurveQ(*a)
-        except ValueError:
-            continue
-        if E.discriminant % 3 and E.j_invariant not in [j for j, _, _ in CM_J_TABLE]:
-            curves.append((None, E))
-
-    scanned = []
-
-    def counting_primerange(*args):
-        for ell in sympy.primerange(*args):
-            scanned.append(ell)
-            yield ell
-
-    monkeypatch.setattr(conditions, "primerange", counting_primerange)
-    # both sides factor the same division polynomial; factor it once
-    factored = {}
-    reducible = conditions._division_poly_reducible
-
-    def factor_once(E_min, p):
-        if (E_min, p) not in factored:
-            factored[E_min, p] = reducible(E_min, p)
-        return factored[E_min, p]
-
-    monkeypatch.setattr(conditions, "_division_poly_reducible", factor_once)
-    last_prime = sympy.prevprime(bound + 1)
-    stopped_early = set()
-    for disc, E in curves:
-        for p in (3, 5, 7, 11, 13):
-            if disc is None and p != 3:
-                continue
-            if canonical_minimal(E).discriminant % p == 0:
-                continue
-            scanned.clear()
-            got = check_c1_str(E, p, bound)
-            assert got == _c1_full_scan(E, p, bound), (E.ainvs, p)
-            if got.status == Status.INCONCLUSIVE and scanned[-1] < last_prime:
-                stopped_early.add((disc, p))
-    # the rule cut scans for CM curves at p = 3 and at p > 3, and for
-    # curves without CM at p = 3
-    assert any(disc is None for disc, _ in stopped_early)
-    assert any(disc is not None and p == 3 for disc, p in stopped_early)
-    assert any(disc is not None and p > 3 for disc, p in stopped_early)
