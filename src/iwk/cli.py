@@ -284,6 +284,13 @@ def analyze_curve(
     label: str = "",
 ) -> AnalysisReport:
     E_min, (u, _, _, _) = E.minimal
+    # the verdicts reject a p that is not an odd prime before Delta is factored
+    verdicts = {
+        "C1_str": check_c1_str(E_min, p, ap_bound).to_json_dict(),
+        "C2": check_c2(E_min, p).to_json_dict(),
+        "C2_sufficient": check_c2_sufficient(E_min, p).to_json_dict(),
+        "C3": check_c3(E_min).to_json_dict(),
+    }
     reductions = {
         str(ell): {
             "kind": info.kind.value,
@@ -293,12 +300,6 @@ def analyze_curve(
             else None,
         }
         for ell, info in reduction_summary(E_min).items()
-    }
-    verdicts = {
-        "C1_str": check_c1_str(E_min, p, ap_bound).to_json_dict(),
-        "C2": check_c2(E_min, p).to_json_dict(),
-        "C2_sufficient": check_c2_sufficient(E_min, p).to_json_dict(),
-        "C3": check_c3(E_min).to_json_dict(),
     }
     for v in verdicts.values():
         v.pop("condition", None)
@@ -359,15 +360,12 @@ def _emit(data: Dict, fmt: str) -> None:
 
 def _cmd_analyze(args) -> int:
     E = parse_curve(args.curve)
-    p = args.p
-    if p == 2 or not sympy.isprime(p):
-        raise ValueError("p must be an odd prime")
     if (args.mu is None) != (getattr(args, "lam") is None):
         raise ValueError("--mu and --lambda must be supplied together")
     try:
         report = analyze_curve(
             E,
-            p,
+            args.p,
             ap_bound=args.ap_bound,
             mu=args.mu,
             lam=args.lam,
@@ -383,11 +381,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_twist(args) -> int:
     E = parse_curve(args.curve)
-    p = args.p
-    if p == 2 or not sympy.isprime(p):
-        raise ValueError("p must be an odd prime")
     try:
-        E_tw, cert = construct_c2_twist(E, p, args.search_bound)
+        E_tw, cert = construct_c2_twist(E, args.p, args.search_bound)
     except SearchExhausted as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         return 4

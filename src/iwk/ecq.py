@@ -439,10 +439,6 @@ def potentially_multiplicative_primes(E: EllipticCurveQ) -> List[int]:
     return sorted(factorint(E.j_invariant.denominator))
 
 
-def bad_primes(E: EllipticCurveQ) -> List[int]:
-    return sorted(factorint(abs(canonical_minimal(E).discriminant)))
-
-
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:
     E_min = canonical_minimal(E)
     return {

@@ -204,6 +204,8 @@ def weierstrass_prepare(
                     out[i + j] += x * y
         return [c % cap for c in out]
 
+    # u moves only by multiples of p, so its inverse mod p is fixed
+    u_inv_p = list(TruncatedSeries(p, 1, D, tuple(u)).inverse().coefficients)
     for j in range(1, N2):
         pj = p**j
         cap = p ** (j + 1)
@@ -212,8 +214,7 @@ def weierstrass_prepare(
         if any(c % pj for c in r):
             raise PostconditionFailed("Weierstrass lift residue not divisible by p^j")
         E = [(c // pj) % p for c in r]
-        u_inv_p = TruncatedSeries(p, 1, D, tuple(u)).inverse().coefficients
-        w = mul_mod(E, list(u_inv_p), p)
+        w = mul_mod(E, u_inv_p, p)
         a, b_quot = w[:lam], w[lam:] + [0] * lam
         b = mul_mod(b_quot, u, p)
         f = [(f[k] + pj * a[k]) % mod if k < lam else f[k] for k in range(len(f))]

@@ -18,12 +18,7 @@ from sympy import isprime
 from .errors import PostconditionFailed, SearchExhausted
 from .padic import kronecker_symbol, multiplicative_order
 from .conditions import Status, check_c2, _require_good_odd_p
-from .ecq import (
-    EllipticCurveQ,
-    potentially_multiplicative_primes,
-    quadratic_twist,
-    torsion_in_cyclotomic_local,
-)
+from .ecq import EllipticCurveQ, quadratic_twist
 
 DEFAULT_SEARCH_BOUND = 10**5
 
@@ -109,21 +104,21 @@ def construct_c2_twist(
     """Produce a twist of E satisfying the local-torsion condition, with a
     machine-checkable certificate; the checker re-verifies the result."""
     E_min = _require_good_odd_p(E, p)
-    S = tuple(potentially_multiplicative_primes(E_min))
-
-    if check_c2(E_min, p).holds:
+    verdict = check_c2(E_min, p)
+    S = tuple(verdict.parameters["primes_checked"])
+    if verdict.holds:
         cert = TwistCertificate(p=p, S=S, S0=(), S1=(), N1_star=1, d=1, mod8_case="trivial")
         cert.validate()
         return E_min, cert
 
+    # the witnesses are the primes of S that keep p-torsion locally
     S0: List[int] = []
     S1: List[int] = []
-    for ell in S:
-        if torsion_in_cyclotomic_local(E_min, ell, p):
-            if multiplicative_order(ell, p) % 2 == 0:
-                S1.append(ell)
-            else:
-                S0.append(ell)
+    for ell, _ in verdict.witnesses:
+        if multiplicative_order(ell, p) % 2 == 0:
+            S1.append(ell)
+        else:
+            S0.append(ell)
     N1_star = 1
     for ell in S1:
         N1_star *= _star(ell)

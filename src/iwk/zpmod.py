@@ -168,25 +168,28 @@ def is_invertible_mod(A: Sequence[Sequence[int]], p: int) -> bool:
 # Smith normal form over the local ring Z/p^N.
 
 
-def smith_normal_form(
-    P: Presentation,
-) -> Tuple[List[Valuation], Tuple[List[List[int]], List[List[int]]]]:
-    """Diagonalize U*A*V = D by pivoting on minimal-valuation entries.
+def smith_normal_form(P: Presentation) -> Tuple[List[Valuation], List[List[int]]]:
+    """Smith divisors of A by row operations U and column swaps, pivoting on
+    minimal-valuation entries (Cohen, GTM 138, section 2.4.4).
 
     Returns one valuation per generator slot, non-decreasing; a slot whose
     divisor vanishes mod p^N is reported INFINITY (the caller's precision
-    contract makes residue 0 mean the zero divisor).
+    contract makes residue 0 mean the zero divisor).  Row k of U*A is
+    p^{v_k} times a row with a unit in a column that vanishes below row k;
+    the rows past the last finite divisor are zero.  Column operations
+    would only clear row k, which no later step reads, so none are made.
     """
     p, N = P.p, P.precision
     mod = p**N
     n, m = P.generators, P.relations
     A = [list(row) for row in P.matrix]
     U = identity_matrix(n)
-    V = identity_matrix(m)
 
     divisors: List[Valuation] = []
+    floor = 0
     for k in range(min(n, m)):
-        # locate a minimal-valuation nonzero entry in the remaining block
+        # first minimal-valuation entry of the remaining block in row-major
+        # order; no entry lies below the previous pivot's valuation
         best = None
         best_v = None
         for i in range(k, n):
@@ -196,48 +199,33 @@ def smith_normal_form(
                     v = ord_p(x, p)
                     if best_v is None or v < best_v:
                         best, best_v = (i, j), v
-                        if v == 0:
+                        if v == floor:
                             break
-            if best_v == 0:
+            if best_v == floor:
                 break
         if best is None:
             break
         bi, bj = best
-        if bi != k:
-            A[k], A[bi] = A[bi], A[k]
-            U[k], U[bi] = U[bi], U[k]
-        if bj != k:
-            for row in A:
-                row[k], row[bj] = row[bj], row[k]
-            for row in V:
-                row[k], row[bj] = row[bj], row[k]
-        v = best_v
-        pv = p**v
+        A[k], A[bi] = A[bi], A[k]
+        U[k], U[bi] = U[bi], U[k]
+        for row in A[k:]:
+            row[k], row[bj] = row[bj], row[k]
+        floor = best_v
+        pv = p**floor
         unit_inv = pow(A[k][k] // pv, -1, mod)
-        for j in range(k, m):
-            A[k][j] = A[k][j] * unit_inv % mod
-        for j in range(n):
-            U[k][j] = U[k][j] * unit_inv % mod
-        # pivot is now exactly p^v; clear its column and row
+        Ak = A[k][k:] = [x * unit_inv % mod for x in A[k][k:]]
+        Uk = U[k] = [x * unit_inv % mod for x in U[k]]
+        # pivot is now exactly p^v; clear its column below row k
         for i in range(k + 1, n):
             if A[i][k]:
                 t = A[i][k] // pv
-                for j in range(k, m):
-                    A[i][j] = (A[i][j] - t * A[k][j]) % mod
-                for j in range(n):
-                    U[i][j] = (U[i][j] - t * U[k][j]) % mod
-        for j in range(k + 1, m):
-            if A[k][j]:
-                t = A[k][j] // pv
-                for i in range(n):
-                    A[i][j] = (A[i][j] - t * A[i][k]) % mod
-                for i in range(m):
-                    V[i][j] = (V[i][j] - t * V[i][k]) % mod
-        divisors.append(v)
+                A[i][k:] = [(x - t * y) % mod for x, y in zip(A[i][k:], Ak)]
+                U[i] = [(x - t * y) % mod for x, y in zip(U[i], Uk)]
+        divisors.append(floor)
 
     while len(divisors) < n:
         divisors.append(INFINITY)
-    return divisors, (U, V)
+    return divisors, U
 
 
 def module_from_presentation(P: Presentation) -> FgZpModule:
@@ -345,7 +333,7 @@ def _augmented_snf(
         for i in range(s)
     )
     pres = Presentation(p, precision, rows)
-    divs, (U, _) = smith_normal_form(pres)
+    divs, U = smith_normal_form(pres)
     out = [min(int(v), precision) if v != INFINITY else precision for v in divs]
     return out, U
 

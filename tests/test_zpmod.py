@@ -4,7 +4,7 @@ import random
 import pytest
 
 from iwk.errors import BudgetExceeded, NotASubmodule, PrecisionExhausted
-from iwk.padic import INFINITY
+from iwk.padic import INFINITY, ord_p
 from iwk.zpmod import (
     DeltaCharacter,
     FgZpModule,
@@ -45,7 +45,7 @@ def random_module(rng, p=None, max_s=4, max_e=4, max_size=None):
 
 def test_snf_diagonal_input():
     P = Presentation(5, 4, ((5, 0), (0, 25)))
-    divs, (U, V) = smith_normal_form(P)
+    divs, _ = smith_normal_form(P)
     assert divs == [1, 2]
 
 
@@ -71,18 +71,82 @@ def test_snf_transform_identity():
         n, m = rng.randint(1, 5), rng.randint(1, 6)
         mod = p**N
         A = tuple(tuple(rng.randrange(mod) for _ in range(m)) for _ in range(n))
-        P = Presentation(p, N, A)
-        divs, (U, V) = smith_normal_form(P)
-        D = matmul_mod(matmul_mod(U, [list(r) for r in A], mod), V, mod)
+        divs, U = smith_normal_form(Presentation(p, N, A))
+        assert is_invertible_mod(U, p)
+        B = matmul_mod(U, [list(r) for r in A], mod)
         finite = [v for v in divs if v != INFINITY]
         assert finite == sorted(finite)
-        for i in range(n):
-            for j in range(m):
-                if i == j and divs[i] != INFINITY:
-                    assert D[i][j] == p ** divs[i] % mod
-                else:
-                    assert D[i][j] == 0
-        assert is_invertible_mod(U, p) and is_invertible_mod(V, p)
+        assert divs[len(finite):] == [INFINITY] * (n - len(finite))
+        pivot_columns = set()
+        for k, v in enumerate(finite):
+            assert all(x % p**v == 0 for x in B[k])
+            fresh = [
+                j for j in range(m)
+                if j not in pivot_columns
+                and ord_p(B[k][j], p) == v
+                and all(B[i][j] == 0 for i in range(k + 1, n))
+            ]
+            assert fresh
+            pivot_columns.add(fresh[0])
+        for k in range(len(finite), n):
+            assert B[k] == [0] * m
+
+
+def _full_scan_snf(P):
+    """Pivot on the first minimal-valuation entry of the whole remaining
+    block, with no early stop, and clear both the pivot's column and row."""
+    p, mod = P.p, P.p**P.precision
+    n, m = P.generators, P.relations
+    A = [list(row) for row in P.matrix]
+    U = identity_matrix(n)
+    divisors = []
+    for k in range(min(n, m)):
+        best, best_v = None, INFINITY
+        for i in range(k, n):
+            for j in range(k, m):
+                if ord_p(A[i][j], p) < best_v:
+                    best, best_v = (i, j), ord_p(A[i][j], p)
+        if best is None:
+            break
+        bi, bj = best
+        A[k], A[bi] = A[bi], A[k]
+        U[k], U[bi] = U[bi], U[k]
+        for row in A:
+            row[k], row[bj] = row[bj], row[k]
+        pv = p**best_v
+        unit_inv = pow(A[k][k] // pv, -1, mod)
+        A[k] = [x * unit_inv % mod for x in A[k]]
+        U[k] = [x * unit_inv % mod for x in U[k]]
+        for i in range(k + 1, n):
+            t = A[i][k] // pv
+            A[i] = [(x - t * y) % mod for x, y in zip(A[i], A[k])]
+            U[i] = [(x - t * y) % mod for x, y in zip(U[i], U[k])]
+        for j in range(k + 1, m):
+            t = A[k][j] // pv
+            for row in A:
+                row[j] = (row[j] - t * row[k]) % mod
+        divisors.append(best_v)
+    return divisors + [INFINITY] * (n - len(divisors)), U
+
+
+def test_snf_matches_full_scan_oracle():
+    rng = random.Random(13)
+    for _ in range(300):
+        p = rng.choice([2, 3, 5, 7])
+        N = rng.randint(1, 6)
+        n, m = rng.randint(1, 6), rng.randint(1, 7)
+        mod = p**N
+        scale = p ** rng.randint(0, 2)
+        r0, c0 = rng.randint(0, n), rng.randint(0, m)
+        A = tuple(
+            tuple(
+                rng.randrange(mod) * (scale if i >= r0 and j >= c0 else 1) % mod
+                for j in range(m)
+            )
+            for i in range(n)
+        )
+        P = Presentation(p, N, A)
+        assert smith_normal_form(P) == _full_scan_snf(P), (p, N, A)
 
 
 def test_module_from_presentation_examples():
