@@ -1,4 +1,4 @@
-"""Command-line surface: analyze, twist, fitting, growth, coinv, ingest, cache.
+"""Command-line surface: analyze, twist, fitting, growth, coinv, cache.
 
 All structured output is JSON (text mode renders the same dictionary);
 identical inputs and budgets give byte-identical reports.  Exit codes:
@@ -39,6 +39,7 @@ from .zpmod import (
 )
 from .iwasawa import DistinguishedPoly, ElementaryLambdaModule, growth_window_check
 from .growth import (
+    WORKED_EXAMPLE_CURVE,
     IwasawaInvariants,
     class_number_growth,
     compare,
@@ -322,7 +323,7 @@ def analyze_curve(
         data["iwasawa_invariants"] = {"mu": mu, "lambda": lam, "source": inv.source}
         data["class_number_growth"] = growth.to_json_dict()
         note = doubling_discrepancy_note(p, mu, lam)
-        if note:
+        if note and E_min.ainvs == WORKED_EXAMPLE_CURVE:
             data["discrepancy_flags"].append(note)
     if rank is not None:
         lam_lower, growth_lower = mordell_weil_bound(rank, 0, p)
@@ -474,8 +475,6 @@ def _cmd_coinv(args) -> int:
         raise ValueError("polynomial must be monic")
     f = DistinguishedPoly(args.p, tuple(coeffs[:-1]))
     M = ElementaryLambdaModule(args.p, args.mu, ((f, 1),) if f.degree else ())
-    if f.degree == 0 and args.mu == 0:
-        M = ElementaryLambdaModule(args.p, 0, ())
     levels = parse_n_range(args.n_range)
     rep = growth_window_check(M, levels)
     data = {
@@ -488,17 +487,6 @@ def _cmd_coinv(args) -> int:
         ],
         "bounded_tail": rep.bounded,
         "max_deviation": rep.max_deviation,
-    }
-    _emit(data, args.format)
-    return 0
-
-
-def _cmd_ingest(args) -> int:
-    records = ingest_curves(args.path)
-    data = {
-        "path": args.path,
-        "count": len(records),
-        "records": [{"label": r.label, "ainvs": list(r.ainvs)} for r in records],
     }
     _emit(data, args.format)
     return 0
@@ -577,11 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-range", required=True, dest="n_range")
     add_format(sp)
     sp.set_defaults(func=_cmd_coinv)
-
-    sp = sub.add_parser("ingest", help="load a curve CSV")
-    sp.add_argument("--path", required=True)
-    add_format(sp)
-    sp.set_defaults(func=_cmd_ingest)
 
     sp = sub.add_parser("cache", help="compute and persist traces of Frobenius")
     sp.add_argument("--curve", required=True)

@@ -263,28 +263,6 @@ def is_minimal_at(E: EllipticCurveQ, ell: int) -> bool:
 # Reduction classification.
 
 
-def _singular_point_mod_ell(E: EllipticCurveQ, ell: int) -> Tuple[int, int]:
-    """The unique singular point of the reduced curve over F_ell."""
-    a1, a2, a3, a4, a6 = (a % ell for a in E.ainvs)
-    for x in range(ell):
-        for y in range(ell):
-            f = (y * y + a1 * x * y + a3 * y - (x**3 + a2 * x * x + a4 * x + a6)) % ell
-            fx = (a1 * y - (3 * x * x + 2 * a2 * x + a4)) % ell
-            fy = (2 * y + a1 * x + a3) % ell
-            if f == 0 and fx == 0 and fy == 0:
-                return x, y
-    raise ValueError(f"reduced curve is nonsingular mod {ell}")
-
-
-def _tangent_directions_split(E: EllipticCurveQ, ell: int) -> bool:
-    """Decide split vs non-split by rationality of the node's tangent cone."""
-    x0, y0 = _singular_point_mod_ell(E, ell)
-    node = E.transformed(1, x0, 0, y0)  # the node moved to the origin
-    a1, a2 = node.a1 % ell, node.a2 % ell
-    # quadratic part is y^2 + a1' x y - a2' x^2; split iff it has a root in F_ell
-    return any((t * t + a1 * t - a2) % ell == 0 for t in range(ell))
-
-
 def _square_class(value: int, ell: int) -> TwistClass:
     """Class of a nonzero integer in Q_ell^x / (Q_ell^x)^2."""
     v = int(ord_p(value, ell))
@@ -304,34 +282,29 @@ def _square_class(value: int, ell: int) -> TwistClass:
     )
 
 
-def _classify_kind(E: EllipticCurveQ, ell: int) -> Tuple[ReductionKind, Potentially]:
-    if not is_minimal_at(E, ell):
-        raise NotMinimalAtPrime(f"model is not minimal at {ell}")
-    if ord_p(E.discriminant, ell) == 0:
-        return ReductionKind.GOOD, Potentially.POT_GOOD
-    pot = Potentially.POT_MULT if E.j_valuation(ell) < 0 else Potentially.POT_GOOD
-    if ord_p(E.c4, ell) == 0:
-        if ell >= 5:
-            split = kronecker_symbol(-E.c6, ell) == 1
-        else:
-            split = _tangent_directions_split(E, ell)
-        kind = ReductionKind.MULT_SPLIT if split else ReductionKind.MULT_NONSPLIT
-    else:
-        kind = ReductionKind.ADDITIVE
-    return kind, pot
-
-
 def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
     """Classify the special fiber at ell on a model minimal there.
 
     At a potentially multiplicative prime, gamma is the class of -c4/c6 in
     Q_ell^x / (Q_ell^x)^2 (Silverman, Advanced Topics in the Arithmetic of
     Elliptic Curves, Thm V.5.3); c4 is a square there, so it is the class
-    of -c6, and twisting by it gives split multiplicative reduction.
+    of -c6, and twisting by it gives split multiplicative reduction.  So a
+    multiplicative fiber is split iff gamma is a square.
     """
-    kind, pot = _classify_kind(E, ell)
-    gamma = _square_class(-E.c6, ell) if pot == Potentially.POT_MULT else None
-    return ReductionInfo(ell, kind, pot, gamma)
+    if not is_minimal_at(E, ell):
+        raise NotMinimalAtPrime(f"model is not minimal at {ell}")
+    if ord_p(E.discriminant, ell) == 0:
+        return ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
+    if E.j_valuation(ell) >= 0:
+        return ReductionInfo(ell, ReductionKind.ADDITIVE, Potentially.POT_GOOD)
+    gamma = _square_class(-E.c6, ell)
+    if ord_p(E.c4, ell) > 0:
+        kind = ReductionKind.ADDITIVE
+    elif gamma == TwistClass.UNIT_SQUARE:
+        kind = ReductionKind.MULT_SPLIT
+    else:
+        kind = ReductionKind.MULT_NONSPLIT
+    return ReductionInfo(ell, kind, Potentially.POT_MULT, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -383,16 +356,14 @@ def trace_naive(E: EllipticCurveQ, ell: int) -> int:
     return ell + 1 - count_points_naive(E, ell)
 
 
-def count_points_ap(
-    E: EllipticCurveQ, ell: int, bound: int = AP_PRIME_BOUND
-) -> TraceRecord:
+def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
     """a_ell by the Legendre sum over the completed-square model.
 
     For odd ell the substitution v = 2y + a1 x + a3 turns the count into
     -sum_x (4x^3 + b2 x^2 + 2 b4 x + b6 | ell).
     """
-    if ell > bound:
-        raise BoundExceeded(f"{ell} exceeds the configured bound {bound}")
+    if ell > AP_PRIME_BOUND:
+        raise BoundExceeded(f"{ell} exceeds the bound {AP_PRIME_BOUND}")
     if ell == 2 or ell % 2 == 0:
         raise ValueError("Legendre-sum path requires an odd prime")
     if ord_p(E.discriminant, ell) != 0:

@@ -9,12 +9,10 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .padic import _check_prime
-from .zpmod import DeltaCharacter, FgZpModule, direct_sum, phi
-
-ALL_CHARACTERS = "ALL"
+from .zpmod import FgZpModule, direct_sum, phi
 
 
 class Comparison(enum.Enum):
@@ -58,7 +56,6 @@ class IwasawaInvariants:
     p: int
     mu: int
     lam: int
-    character: Union[DeltaCharacter, str] = ALL_CHARACTERS
     source: str = ""
 
     def __post_init__(self):
@@ -86,6 +83,9 @@ def class_number_growth(inv: IwasawaInvariants) -> GrowthClass:
         Fraction(2 * inv.lam),
         label=f"2*(mu*p^n + lambda*n) from {inv.source or 'ingested invariants'}",
     )
+
+
+WORKED_EXAMPLE_CURVE = (0, 0, 1, -7, 6)  # minimal model of 5077.a1
 
 
 def doubling_discrepancy_note(p: int, mu: int, lam: int) -> Optional[str]:

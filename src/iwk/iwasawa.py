@@ -3,8 +3,9 @@ preparation at finite precision, and exact coinvariant orders at finite
 levels of the cyclotomic tower.
 
 A level-(m, n) quotient of the power-series ring is the finite ring
-Z/p^n[T]/((1+T)^{p^(m-1)} - 1); coinvariants of an elementary module there
-are computed by exact linear algebra, never asymptotics.
+Z/p^n[T]/((1+T)^{p^(m-1)} - 1); coinvariants of an elementary module
+Lambda/(p^mu f) there are computed by exact linear algebra on Z[T]/(f), of
+rank lambda, never asymptotics.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import List, Sequence, Tuple
 
-from .errors import BudgetExceeded, PostconditionFailed, PrecisionExhausted
+from .errors import PostconditionFailed, PrecisionExhausted
 from .padic import ord_p, _check_prime
 from .zpmod import Presentation, phi0_of_cokernel
 
@@ -233,33 +234,45 @@ def weierstrass_prepare(
 # ---------------------------------------------------------------------------
 # Exact coinvariant orders at finite levels.
 
-RING_DIMENSION_BUDGET = 3**5
-P_EXPONENT_BUDGET = 8
-
 
 def coinvariant_order(M: ElementaryLambdaModule, m: int, n: int) -> int:
     """ord_p of the (finite) coinvariant module of M at level (m, n).
 
-    Builds the finite ring Z/p^n[T]/omega_m, presents the quotient by the
-    characteristic element as the multiplication matrix on the power basis,
-    and measures the cokernel order by Smith reduction.
+    For M = Lambda/(p^mu f), mu' = min(mu, n) and d = p^(m-1), the ring
+    Z/p^n[T]/(omega_m, p^mu f) is an extension of Z/p^mu'[T]/omega_m by
+    Z/p^(n-mu')[T]/(f, omega_m), because multiplication by p^mu is injective
+    on the free module Z_p[T]/omega_m.  The second part is the cokernel of
+    omega_m acting on Z[T]/(f), of rank lambda (Washington, Cyclotomic
+    Fields, 13.3), so the order is mu'*d plus its Smith divisors capped at
+    n - mu'.  omega_m mod f comes from m - 1 p-th powers of 1 + T, so no
+    polynomial of degree p^(m-1) is built.
     """
     p = M.p
     if m < 1 or n < 1:
         raise ValueError("levels must be >= 1")
-    d = p ** (m - 1)
-    if d > RING_DIMENSION_BUDGET or n > P_EXPONENT_BUDGET:
-        raise BudgetExceeded(f"ring size p^(m-1)={d}, n={n} exceeds the budget")
-    w = omega(m, p)
-    g = poly_mod_monic(M.characteristic_element(), w)
-    mod = p**n
+    mu = min(M.mu, n)
+    order = mu * p ** (m - 1)
+    mod = p ** (n - mu)
+    f = [c // p**M.mu % mod for c in M.characteristic_element()]
+    lam = len(f) - 1
+    if lam == 0 or mu == n:
+        return order
+
+    def mul_mod(a, b):
+        return [c % mod for c in poly_mod_monic(poly_mul(a, b), f)]
+
+    x = poly_mod_monic([1, 1], f)
+    for _ in range(m - 1):
+        y = x
+        for _ in range(p - 1):
+            y = mul_mod(y, x)
+        x = y
+    w = [(x[0] - 1) % mod] + x[1:]
     cols = []
-    shifted = [c % mod for c in g]
-    for _ in range(d):
-        cols.append(list(shifted))
-        shifted = [c % mod for c in poly_mod_monic([0] + shifted, w)]
-    rows = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return phi0_of_cokernel(Presentation(p, n, rows))
+    for _ in range(lam):
+        cols.append(w)
+        w = [c % mod for c in poly_mod_monic([0] + w, f)]
+    return order + phi0_of_cokernel(Presentation(p, n - mu, tuple(zip(*cols))))
 
 
 @dataclass(frozen=True)

@@ -6,16 +6,16 @@ import sys
 from fractions import Fraction
 
 import pytest
-from sympy import factorint
+from sympy import factorint, nextprime
 
 import iwk
 from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime
 from iwk.ecq import (
+    AP_PRIME_BOUND,
     EllipticCurveQ,
     Potentially,
     ReductionKind,
     TwistClass,
-    _tangent_directions_split,
     canonical_minimal,
     count_points_ap,
     count_points_naive,
@@ -100,18 +100,28 @@ def test_reduction_requires_minimality(e5077):
 
 
 def test_split_detection_routes_agree(corpus):
-    # tangent-direction test vs the -c6 residue criterion at odd
-    # multiplicative primes (the production path uses -c6 for ell >= 5)
-    for label, E in corpus:
-        for ell, info in reduction_summary(E).items():
+    # split iff gamma is a square, against the naive count on the singular
+    # fiber: ell + 1 - #E(F_ell) is +1 when split and -1 when not
+    rng = random.Random(20221018)
+    curves = [E for _, E in corpus]
+    while len(curves) < len(corpus) + 300:
+        try:
+            curves.append(EllipticCurveQ(*(rng.randint(-30, 30) for _ in range(5))))
+        except ValueError:
+            continue
+    seen = set()
+    for E in curves:
+        E_min = canonical_minimal(E)
+        for ell, info in reduction_summary(E_min).items():
             if info.kind not in (ReductionKind.MULT_SPLIT, ReductionKind.MULT_NONSPLIT):
                 continue
-            if ell > 200 or ell == 2:
+            if ell > 200:
                 continue
-            tangent = _tangent_directions_split(canonical_minimal(E), ell)
-            assert tangent == (info.kind == ReductionKind.MULT_SPLIT), (label, ell)
-            if ell >= 5:
-                assert (kronecker_symbol(-E.c6, ell) == 1) == tangent
+            split = info.kind == ReductionKind.MULT_SPLIT
+            a = ell + 1 - count_points_naive(E_min, ell)
+            assert a == (1 if split else -1), (E.ainvs, ell)
+            seen.add((min(ell, 5), split))
+    assert seen == {(ell, split) for ell in (2, 3, 5) for split in (True, False)}
 
 
 def test_potentially_multiplicative_iff_negative_j_valuation(corpus):
@@ -178,7 +188,7 @@ def test_count_points_errors(e5077):
     with pytest.raises(BadReductionPrime):
         count_points_ap(e5077, 5077)
     with pytest.raises(BoundExceeded):
-        count_points_ap(e5077, 11, bound=7)
+        count_points_ap(e5077, nextprime(AP_PRIME_BOUND))
     with pytest.raises(ValueError):
         count_points_ap(e5077, 2)
 
@@ -325,7 +335,7 @@ def _class_representative(cls, ell):
 def test_gamma_class_round_trip(corpus):
     # twisting by a representative of the reported class must yield split
     # multiplicative reduction: the defining property of gamma
-    from sympy import factorint
+    from sympy import factorint, nextprime
 
     checked = 0
     for label, E in corpus:

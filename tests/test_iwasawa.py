@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from iwk.errors import BudgetExceeded, PrecisionExhausted
+from iwk.errors import PrecisionExhausted
 from iwk.iwasawa import (
     DistinguishedPoly,
     ElementaryLambdaModule,
@@ -17,6 +17,7 @@ from iwk.iwasawa import (
     weierstrass_prepare,
 )
 from iwk.padic import ord_p
+from iwk.zpmod import Presentation, phi0_of_cokernel
 
 
 def test_omega_examples():
@@ -120,12 +121,17 @@ def test_coinvariant_examples():
     assert all(coinvariant_order(zero, n, n) == 0 for n in (1, 2, 3))
 
 
-def test_coinvariant_budget():
-    M = ElementaryLambdaModule(3, 1)
-    with pytest.raises(BudgetExceeded):
-        coinvariant_order(M, 7, 2)
-    with pytest.raises(BudgetExceeded):
-        coinvariant_order(M, 2, 9)
+def test_coinvariant_past_former_budgets():
+    # the ring route refused p^(m-1) > 3^5 and n > 8
+    P1 = ElementaryLambdaModule(3, 1)
+    assert coinvariant_order(P1, 7, 2) == 729
+    assert coinvariant_order(P1, 2, 9) == 3
+    # Z_3[T]/(T+3) = Z_3 with omega_m acting as (-2)^(3^(m-1)) - 1, of
+    # valuation m by lifting the exponent
+    F = ElementaryLambdaModule(3, 0, ((DistinguishedPoly(3, (3,)), 1),))
+    for m in range(1, 31):
+        for n in range(1, 33):
+            assert coinvariant_order(F, m, n) == min(m, n), (m, n)
 
 
 def test_coinvariant_level_one_cross_check():
@@ -183,6 +189,39 @@ def test_coinvariant_against_ring_enumeration():
             assert coinvariant_order(M, m, n) == _coinvariant_order_by_ring_enumeration(
                 M, m, n
             ), (M, m, n)
+
+
+def _coinvariant_order_by_ring_snf(M, m, n):
+    """Reference route: Smith form of multiplication by the characteristic
+    element on the whole ring Z/p^n[T]/omega_m, of rank p^(m-1)."""
+    p = M.p
+    d = p ** (m - 1)
+    w = omega(m, p)
+    g = poly_mod_monic(M.characteristic_element(), w)
+    mod = p**n
+    cols = []
+    shifted = [c % mod for c in g]
+    for _ in range(d):
+        cols.append(list(shifted))
+        shifted = [c % mod for c in poly_mod_monic([0] + shifted, w)]
+    rows = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    return phi0_of_cokernel(Presentation(p, n, rows))
+
+
+def test_coinvariant_against_ring_snf():
+    # seeded modules within p^(m-1) <= 3^5 and n <= 8, mu >= n included
+    rng = random.Random(33)
+    for _ in range(300):
+        p = rng.choice([3, 5, 7])
+        factors = []
+        for _ in range(rng.randint(0, 2)):
+            coeffs = tuple(p * rng.randrange(-(p**3), p**3) for _ in range(rng.randint(1, 3)))
+            factors.append((DistinguishedPoly(p, coeffs), rng.randint(1, 2)))
+        M = ElementaryLambdaModule(p, rng.randint(0, 3), tuple(factors))
+        m = rng.randint(1, {3: 6, 5: 4, 7: 3}[p])
+        n = rng.randint(1, 8)
+        want = _coinvariant_order_by_ring_snf(M, m, n)
+        assert coinvariant_order(M, m, n) == want, (M, m, n)
 
 
 def test_growth_window_T2():
