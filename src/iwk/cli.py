@@ -18,8 +18,6 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import sympy
-
 from .errors import (
     BadReductionAtP,
     BudgetExceeded,
@@ -27,7 +25,8 @@ from .errors import (
     PrecisionExhausted,
     SearchExhausted,
 )
-from .padic import INFINITY
+from .padic import INFINITY, primerange
+from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 from .zpmod import (
     FgZpModule,
     Presentation,
@@ -243,7 +242,7 @@ def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
     known = _load_cache(E_min, path)
     disc = abs(E_min.discriminant)
     changed = False
-    for ell in sympy.primerange(3, bound + 1):
+    for ell in primerange(3, bound + 1):
         if disc % ell == 0 or ell in known:
             continue
         known[ell] = count_points_ap(E_min, ell)

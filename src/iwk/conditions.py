@@ -15,12 +15,9 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
-import sympy
-from sympy import primerange
-
 from .errors import BadReductionAtP
 from .iwasawa import poly_mul
-from .padic import kronecker_symbol, multiplicative_order, ord_p
+from .padic import isprime, kronecker_symbol, multiplicative_order, ord_p, primerange, sympy
 from .ecq import (
     EllipticCurveQ,
     ReductionKind,
@@ -65,7 +62,7 @@ class Verdict:
 
 
 def _require_good_odd_p(E: EllipticCurveQ, p: int) -> EllipticCurveQ:
-    if p == 2 or not sympy.isprime(p):
+    if p == 2 or not isprime(p):
         raise ValueError("p must be an odd prime")
     E_min = canonical_minimal(E)
     if ord_p(E_min.discriminant, p) != 0:

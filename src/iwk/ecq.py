@@ -15,16 +15,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-from sympy import factorint
-
 from .errors import (
     BadReductionPrime,
     BoundExceeded,
     NotMinimalAtPrime,
     PostconditionFailed,
 )
-from .padic import Valuation, kronecker_symbol, multiplicative_order, ord_p
+from .padic import Valuation, factorint, kronecker_symbol, multiplicative_order, ord_p
 
 AP_PRIME_BOUND = 10**6
 
@@ -91,6 +88,11 @@ class EllipticCurveQ:
     @functools.cached_property
     def j_invariant(self) -> Fraction:
         return Fraction(self.c4**3, self.discriminant)
+
+    @functools.cached_property
+    def j_denominator_primes(self) -> Tuple[int, ...]:
+        """The primes dividing the denominator of j, factored once per curve object."""
+        return tuple(sorted(factorint(self.j_invariant.denominator)))
 
     @functools.cached_property
     def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, Fraction, Fraction, Fraction]]:
@@ -368,6 +370,8 @@ def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
         raise ValueError("Legendre-sum path requires an odd prime")
     if ord_p(E.discriminant, ell) != 0:
         raise BadReductionPrime(f"{ell} divides the discriminant")
+    import numpy as np  # on first use: most commands count no points
+
     x = np.arange(ell, dtype=np.int64)
     c3, c2, c1, c0 = 4 % ell, E.b2 % ell, (2 * E.b4) % ell, E.b6 % ell
     f = (((c3 * x + c2) % ell * x + c1) % ell * x + c0) % ell
@@ -407,7 +411,7 @@ def torsion_in_cyclotomic_local(E: EllipticCurveQ, ell: int, p: int) -> bool:
 
 def potentially_multiplicative_primes(E: EllipticCurveQ) -> List[int]:
     """Primes where the j-invariant has negative valuation."""
-    return sorted(factorint(E.j_invariant.denominator))
+    return list(E.j_denominator_primes)
 
 
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:

@@ -6,11 +6,12 @@ precision N is its canonical representative in [0, p^N).
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional, Union
-
-from sympy import isprime
+from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IwkError, PostconditionFailed
 
@@ -20,9 +21,100 @@ INFINITY = float("inf")
 Valuation = Union[int, float]
 
 
+class _LazySympy:
+    """The sympy module, imported on first attribute access, so that a
+    command which factors nothing never pays for importing it."""
+
+    def __getattr__(self, name):
+        import sympy
+
+        return getattr(sympy, name)
+
+
+sympy = _LazySympy()
+
+# Miller-Rabin with the first 13 prime bases is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI_13 = 3317044064679887385961981
+
+
+def isprime(n: int) -> bool:
+    """Whether n is prime: deterministic Miller-Rabin below psi_13, sympy's
+    isprime at or above it."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _PSI_13:
+        return sympy.isprime(n)
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+# Past this limit primerange tests each candidate rather than growing the
+# sieve, so a far interval costs no memory in proportion to its start.
+_SIEVE_CAP = 1 << 24
+
+
+class _Sieve:
+    """The primes below `limit`, kept for the life of the process and
+    re-sieved to at least twice the limit whenever a caller needs more."""
+
+    def __init__(self):
+        self.limit = 0
+        self.primes: List[int] = []
+
+    def below(self, n: int) -> List[int]:
+        if n > self.limit:
+            limit = min(max(n, 2 * self.limit, 1 << 10), _SIEVE_CAP)
+            flags = bytearray([1]) * limit
+            flags[:2] = b"\0\0"
+            for q in range(2, math.isqrt(limit - 1) + 1):
+                if flags[q]:
+                    flags[q * q :: q] = bytes(len(range(q * q, limit, q)))
+            self.limit, self.primes = limit, list(itertools.compress(range(limit), flags))
+        return self.primes
+
+
+_SIEVE = _Sieve()
+
+
+def primerange(a: int, b: int) -> Iterator[int]:
+    """The primes p with a <= p < b, in increasing order, as sympy's
+    primerange; the sieve grows only as far as the iteration gets."""
+    lo = max(a, 2)
+    while lo < b and lo < _SIEVE_CAP:
+        primes = _SIEVE.below(min(b, 2 * lo))
+        hi = min(b, _SIEVE.limit)
+        yield from primes[bisect.bisect_left(primes, lo) : bisect.bisect_left(primes, hi)]
+        lo = hi
+    yield from (n for n in range(lo, b) if isprime(n))
+
+
+def factorint(n: int) -> Dict[int, int]:
+    """Prime factorization {prime: exponent} of n, by sympy's factorint."""
+    return sympy.factorint(n)
+
+
 @functools.lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
-    if p < 2 or not isprime(p):
+    if not isprime(p):
         raise ValueError(f"{p} is not prime")
 
 

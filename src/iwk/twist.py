@@ -9,14 +9,13 @@ is the only trusted oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import sympy
-from sympy import isprime
-
 from .errors import PostconditionFailed, SearchExhausted
-from .padic import kronecker_symbol, multiplicative_order
+from .padic import isprime, kronecker_symbol, multiplicative_order
+from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 from .conditions import Status, check_c2, _require_good_odd_p
 from .ecq import EllipticCurveQ, quadratic_twist
 
@@ -70,7 +69,7 @@ class TwistCertificate:
         prod = self.p
         for ell in S:
             prod *= ell
-        if sympy.gcd(q, prod) != 1:
+        if math.gcd(q, prod) != 1:
             raise PostconditionFailed("q must be coprime to p and to S")
         for ell in sorted(S - S1):
             if ell == 2:

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import BudgetExceeded, NotASubmodule, PrecisionExhausted
 from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
 
@@ -368,6 +366,8 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
 
     if i == 0:
         return sum(base)
+
+    import numpy as np  # on first use: only this oracle needs it
 
     # all elements of M as coordinate columns, shape (s, #M)
     grids = np.meshgrid(*[np.arange(p**e, dtype=np.int64) for e in exps], indexing="ij")

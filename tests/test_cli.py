@@ -152,6 +152,23 @@ def test_corpus_reports_golden():
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
 
 
+def test_j_denominator_factored_once(monkeypatch):
+    factored = []
+    factor = ecq.factorint
+
+    def counting_factor(n):
+        factored.append(n)
+        return factor(n)
+
+    monkeypatch.setattr(ecq, "factorint", counting_factor)
+    E = EllipticCurveQ(0, 1, 0, 4, 4)  # 20a1: den(j) = 25, Delta = -2^8 5^2
+    analyze_curve(E, 3)
+    assert factored.count(25) == 1
+    # the twist has the same j; it is factored again once, for the new curve
+    E_tw, _ = construct_c2_twist(E, 3)
+    assert E_tw.j_invariant.denominator == 25 and factored.count(25) == 2
+
+
 def test_minimal_model_built_once(monkeypatch):
     builds = []
     build = ecq.minimal_model
@@ -319,6 +336,28 @@ def test_text_format(capsys):
     assert main(["growth", "--p", "3", "--mu", "0", "--lambda", "1", "--format", "text"]) == 0
     out = capsys.readouterr().out
     assert "lambda_hat: 2" in out
+
+
+def test_cold_imports():
+    # the command-line tool loads sympy and numpy only for the work that
+    # needs them: factoring, point counts and the brute-force oracle
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "import iwk, iwk.cli\n"
+        "loaded = lambda: sorted({'sympy', 'numpy'} & set(sys.modules))\n"
+        "assert loaded() == [], loaded()\n"
+        "iwk.cli.main(['coinv', '--poly', 'T^2+3*T+6', '--p', '3', '--n-range', '1..5'])\n"
+        "assert loaded() == [], loaded()\n"
+        "iwk.cli.main(['twist', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
+        "assert 'numpy' not in loaded(), loaded()\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_cli_subprocess_smoke():

@@ -1,8 +1,10 @@
 import random
 
 import pytest
+import sympy
 from sympy import factorint, primerange
 
+from iwk import padic
 from iwk.errors import IwkError
 from iwk.padic import (
     INFINITY,
@@ -13,6 +15,9 @@ from iwk.padic import (
     ord_p,
     teichmuller,
 )
+
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to the bases 2..37
+PSI_13 = 3317044064679887385961981  # least strong pseudoprime to the bases 2..41
 
 
 def legendre_euler(a, p):
@@ -168,3 +173,63 @@ def test_padic_int_arithmetic():
     with pytest.raises(ValueError):
         x + PadicInt(7, 3, 1)
     assert (x**2).value == 137**2 % 125
+
+
+# ---------------------------------------------------------------------------
+# Primality and prime ranges, against sympy.
+
+
+def test_isprime_matches_sympy():
+    small = [padic.isprime(n) for n in range(2 * 10**5)]
+    assert small == [sympy.isprime(n) for n in range(2 * 10**5)]
+    rng = random.Random(20170)
+    for _ in range(10**4):
+        n = rng.getrandbits(rng.randint(20, 200)) | 1
+        assert padic.isprime(n) == sympy.isprime(n), n
+    assert not padic.isprime(-7)
+
+
+def test_isprime_rejects_strong_pseudoprimes():
+    # psi_4 and psi_9 (= psi_10 = psi_11) fool the first 4 and 11 prime bases
+    for n in (3215031751, 3825123056546413051, PSI_12):
+        assert not padic.isprime(n), n
+    assert padic.isprime(2**61 - 1)  # a prime the Miller-Rabin path decides
+
+
+def test_isprime_routes_psi13_to_sympy(monkeypatch):
+    seen = []
+
+    class Recorder:
+        def isprime(self, n):
+            seen.append(n)
+            return sympy.isprime(n)
+
+    monkeypatch.setattr(padic, "sympy", Recorder())
+    assert not padic.isprime(PSI_12)
+    assert seen == []
+    # psi_13 passes all 13 Miller-Rabin bases, so only sympy can reject it
+    assert not padic.isprime(PSI_13)
+    assert seen == [PSI_13]
+
+
+def test_primerange_matches_sympy(monkeypatch):
+    # a fresh sieve, so these calls grow it from nothing; a low cap sends
+    # the far intervals down the candidate-by-candidate path
+    monkeypatch.setattr(padic, "_SIEVE", padic._Sieve())
+    monkeypatch.setattr(padic, "_SIEVE_CAP", 1 << 14)
+    intervals = [(3, 1100), (3, 5000), (3, 10**4 + 1)]  # each extends the sieve it finds
+    intervals += [(10, 5), (5, 5), (-4, 2), (0, 3), (2, 3), (-10, 30),
+                  (1 << 14, (1 << 14) + 500), ((1 << 14) - 300, (1 << 14) + 300)]
+    rng = random.Random(1509)
+    for _ in range(40):
+        a = rng.randint(-20, 40000)
+        intervals.append((a, a + rng.randint(-50, 3000)))
+    for a, b in intervals:
+        assert list(padic.primerange(a, b)) == list(primerange(a, b)), (a, b)
+
+
+def test_primerange_is_lazy(monkeypatch):
+    monkeypatch.setattr(padic, "_SIEVE", padic._Sieve())
+    scan = padic.primerange(3, 10**30)
+    assert [next(scan) for _ in range(5)] == [3, 5, 7, 11, 13]
+    assert padic._SIEVE.limit <= 1 << 10
