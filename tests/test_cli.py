@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -125,8 +126,9 @@ def test_report_determinism(capsys):
 
 
 # SHA-256 of the reports below, computed before the division polynomials
-# became integer lists and the minimal model was cached; any change to the
-# report bytes must change this value on purpose.
+# became integer lists, the minimal model was cached and the C1 trace scan
+# ran ahead of the psi_p factorization; any change to the report bytes must
+# change this value on purpose.
 GOLDEN_CORPUS_SHA256 = "e7c663fb2d3d027548552e3a148ba8b478f1285e67aa90b2c14a48a2dd784c37"
 
 
@@ -190,6 +192,27 @@ def test_minimal_model_built_once(monkeypatch):
     E_tw, cert = construct_c2_twist(E, 3)
     assert cert.d == -55 and len(builds) == 2
     assert E_tw.minimal[0] is E_tw
+
+
+def test_verdicts_invariant_under_change_of_model():
+    # the verdicts depend on the curve, not on the Weierstrass model it is given by
+    rng = random.Random(20221018)
+    compared = 0
+    while compared < 32:
+        try:
+            E = EllipticCurveQ(*(rng.randint(-9, 9) for _ in range(5)))
+        except ValueError:
+            continue
+        u = rng.choice((1, 2, 3, 6))
+        r, s, t = (rng.randint(-20, 20) for _ in range(3))
+        model = E.transformed(Fraction(1, u), r, s, t)
+        for p in (3, 5, 7, 11):
+            if E.minimal[0].discriminant % p == 0:
+                continue
+            expected = analyze_curve(E, p, ap_bound=200).data["verdicts"]
+            assert analyze_curve(model, p, ap_bound=200).data["verdicts"] == expected, (
+                E.ainvs, (u, r, s, t), p)
+            compared += 1
 
 
 # ---------------------------------------------------------------------------

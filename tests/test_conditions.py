@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from iwk.conditions import (
     check_c2_sufficient,
     check_c3,
 )
-from iwk.ecq import EllipticCurveQ, quadratic_twist
+from iwk.ecq import EllipticCurveQ, count_points_ap, quadratic_twist
+from iwk.padic import kronecker_symbol, primerange
 
 
 def test_verdict_invariants():
@@ -211,3 +213,83 @@ def test_integer_division_polynomial_matches_symbolic():
             assert got.LC() == n and got.degree() == (n * n - 1) // 2
     # n = 9 goes through the even-index recurrence (psi_6)
     assert conditions._division_polynomial_x(-3, 5, 9) == _symbolic_division_polynomial(-3, 5, 9)
+
+
+# ---------------------------------------------------------------------------
+# The trace scan runs before psi_p is factored; verdicts match factoring first.
+
+
+def _check_c1_str_factor_first(E, p, prime_bound):
+    """check_c1_str as it was when psi_p (p <= 7) was factored before any scan."""
+    E_min = conditions._require_good_odd_p(E, p)
+    params = {"prime_bound": prime_bound}
+    if p <= 7:
+        degrees = conditions._division_poly_reducible(E_min, p)
+        if degrees is not None:
+            return Verdict(
+                "C1_str",
+                Status.FAILS,
+                ((p, f"division polynomial factors with degrees {degrees}"),),
+                params,
+            )
+    found = {c: None for c in conditions._WITNESS_CLASSES}
+    if p == 3:
+        found["exceptional"] = (0, "vacuous for p = 3")
+    disc = E_min.discriminant
+    for ell in primerange(3, prime_bound + 1):
+        if all(found.values()):
+            break
+        if ell == p or disc % ell == 0:
+            continue
+        a = count_points_ap(E_min, ell).a_ell % p
+        D = (a * a - 4 * ell) % p
+        chi = kronecker_symbol(D, p)
+        if chi == -1 and found["borel"] is None:
+            found["borel"] = (ell, f"a={a}, disc nonsquare mod {p}")
+        if a != 0:
+            if chi == -1 and found["split_cartan_normalizer"] is None:
+                found["split_cartan_normalizer"] = (ell, f"a={a}, disc nonsquare mod {p}")
+            if chi == 1 and found["nonsplit_cartan_normalizer"] is None:
+                found["nonsplit_cartan_normalizer"] = (ell, f"a={a}, disc nonzero square mod {p}")
+            if found["exceptional"] is None:
+                u = a * a * pow(ell, -1, p) % p
+                if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
+                    found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
+    if all(found.values()):
+        witnesses = tuple((ell, f"{cls}: {detail}") for cls, (ell, detail) in found.items())
+        return Verdict("C1_str", Status.HOLDS, witnesses, params)
+    missing = [c for c, w in found.items() if w is None]
+    return Verdict("C1_str", Status.INCONCLUSIVE, (), {**params, "unresolved_classes": missing})
+
+
+def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
+    # a HOLDS verdict means a surjective image, which is transitive on the
+    # x-coordinates of E[p] - 0, so psi_p is irreducible there: scanning
+    # before factoring cannot change any verdict.  Both sides share one
+    # factorization of each psi_p.
+    monkeypatch.setattr(
+        conditions, "_division_poly_reducible",
+        functools.lru_cache(maxsize=None)(conditions._division_poly_reducible),
+    )
+    rng = random.Random(20221018)
+    d = dict(corpus)
+    # a rational 5-isogeny, CM, a rational 7-isogeny
+    curves = [d["11a1"], d["27a1"], EllipticCurveQ(1, -1, 1, -3, 3)]
+    while len(curves) < 43:
+        try:
+            curves.append(EllipticCurveQ(*(rng.randint(-9, 9) for _ in range(5))))
+        except ValueError:
+            continue
+    seen = set()
+    for E in curves:
+        for p in (3, 5, 7):
+            for bound in (0, 60, 1000):
+                try:
+                    expected = _check_c1_str_factor_first(E, p, bound).to_json_dict()
+                except BadReductionAtP:
+                    with pytest.raises(BadReductionAtP):
+                        check_c1_str(E, p, bound)
+                    continue
+                assert check_c1_str(E, p, bound).to_json_dict() == expected, (E.ainvs, p, bound)
+                seen.add(expected["status"])
+    assert seen == {"HOLDS", "FAILS", "INCONCLUSIVE"}

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from sympy import factorint, nextprime
+from sympy import factorint, nextprime, prevprime
 
 import iwk
 from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime
@@ -215,6 +215,39 @@ def test_hasse_bound(corpus):
             assert a * a <= 4 * ell
 
 
+def _legendre_sum_trace(E, ell):
+    """a_ell = -sum_x (4x^3 + b2 x^2 + 2 b4 x + b6 | ell) in Python integers."""
+    chi = [-1] * ell
+    for x in range(1, ell // 2 + 1):
+        chi[x * x % ell] = 1
+    chi[0] = 0
+    b2, b4, b6 = E.b2 % ell, 2 * E.b4 % ell, E.b6 % ell
+    return -sum(chi[(((4 * x + b2) * x + b4) * x + b6) % ell] for x in range(ell))
+
+
+def test_count_points_int64_bound():
+    # the int64 Horner evaluation stays below 5 ell^3 < 2^63 up to
+    # AP_PRIME_BOUND; b-invariants of about 30 digits, and at the largest
+    # prime a model whose reduced coefficients all sit at ell - 1
+    rng = random.Random(20221018)
+    top = prevprime(AP_PRIME_BOUND + 1)
+    assert top == 999983
+    cases = []
+    for ell in (1009, 1009, 10007, 10007, 100003):
+        E = EllipticCurveQ(*(rng.randrange(-10**15, 10**15) for _ in range(3)),
+                           *(rng.randrange(-10**29, 10**29) for _ in range(2)))
+        cases.append((E, ell))
+    # a1 = a3 = 0 and a2, a4, a6 = -1/4 mod ell give b2, 2 b4, b6 = -1 mod ell
+    quarter = -pow(4, -1, top) % top
+    a2, a4, a6 = (quarter + top * rng.randrange(10**23, 10**24) for _ in range(3))
+    E = EllipticCurveQ(0, a2, 0, a4, a6)
+    assert (E.b2 % top, 2 * E.b4 % top, E.b6 % top) == (top - 1,) * 3
+    assert E.discriminant % top and len(str(E.b6)) >= 30
+    cases.append((E, top))
+    for E, ell in cases:
+        assert count_points_ap(E, ell).a_ell == _legendre_sum_trace(E, ell), (E.ainvs, ell)
+
+
 def test_torsion_local_split_always_true(corpus):
     for label, E in corpus:
         for ell, info in reduction_summary(E).items():
@@ -335,7 +368,7 @@ def _class_representative(cls, ell):
 def test_gamma_class_round_trip(corpus):
     # twisting by a representative of the reported class must yield split
     # multiplicative reduction: the defining property of gamma
-    from sympy import factorint, nextprime
+    from sympy import factorint, nextprime, prevprime
 
     checked = 0
     for label, E in corpus:
