@@ -43,9 +43,6 @@ class FgZpModule:
     def torsion_order_valuation(self) -> int:
         return sum(self.exponents)
 
-    def torsion_size(self) -> int:
-        return self.p ** sum(self.exponents)
-
 
 @dataclass(frozen=True)
 class Presentation:
@@ -116,22 +113,7 @@ def all_characters(p: int) -> List[DeltaCharacter]:
 
 
 # ---------------------------------------------------------------------------
-# Matrix utilities over Z/mod (plain integer lists, exact).
-
-
-def identity_matrix(n: int) -> List[List[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def matmul_mod(A: Sequence[Sequence[int]], B: Sequence[Sequence[int]], mod: int) -> List[List[int]]:
-    n, k = len(A), len(A[0]) if A else 0
-    m = len(B[0]) if B else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for j in range(m):
-            out[i][j] = sum(Ai[t] * B[t][j] for t in range(k)) % mod
-    return out
+# Exact integer determinants.
 
 
 def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
@@ -158,30 +140,24 @@ def bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
-def is_invertible_mod(A: Sequence[Sequence[int]], p: int) -> bool:
-    return bareiss_det(A) % p != 0
-
-
 # ---------------------------------------------------------------------------
 # Smith normal form over the local ring Z/p^N.
 
 
-def smith_normal_form(P: Presentation) -> Tuple[List[Valuation], List[List[int]]]:
-    """Smith divisors of A by row operations U and column swaps, pivoting on
+def smith_normal_form(P: Presentation) -> List[Valuation]:
+    """Smith divisors of A by row operations and column swaps, pivoting on
     minimal-valuation entries (Cohen, GTM 138, section 2.4.4).
 
     Returns one valuation per generator slot, non-decreasing; a slot whose
     divisor vanishes mod p^N is reported INFINITY (the caller's precision
-    contract makes residue 0 mean the zero divisor).  Row k of U*A is
-    p^{v_k} times a row with a unit in a column that vanishes below row k;
-    the rows past the last finite divisor are zero.  Column operations
-    would only clear row k, which no later step reads, so none are made.
+    contract makes residue 0 mean the zero divisor).  Each pivot is scaled
+    to exactly p^v and its column cleared below it; column operations would
+    only clear the pivot's row, which no later step reads, so none are made.
     """
     p, N = P.p, P.precision
     mod = p**N
     n, m = P.generators, P.relations
     A = [list(row) for row in P.matrix]
-    U = identity_matrix(n)
 
     divisors: List[Valuation] = []
     floor = 0
@@ -205,30 +181,27 @@ def smith_normal_form(P: Presentation) -> Tuple[List[Valuation], List[List[int]]
             break
         bi, bj = best
         A[k], A[bi] = A[bi], A[k]
-        U[k], U[bi] = U[bi], U[k]
         for row in A[k:]:
             row[k], row[bj] = row[bj], row[k]
         floor = best_v
         pv = p**floor
         unit_inv = pow(A[k][k] // pv, -1, mod)
         Ak = A[k][k:] = [x * unit_inv % mod for x in A[k][k:]]
-        Uk = U[k] = [x * unit_inv % mod for x in U[k]]
         # pivot is now exactly p^v; clear its column below row k
         for i in range(k + 1, n):
             if A[i][k]:
                 t = A[i][k] // pv
                 A[i][k:] = [(x - t * y) % mod for x, y in zip(A[i][k:], Ak)]
-                U[i] = [(x - t * y) % mod for x, y in zip(U[i], Uk)]
         divisors.append(floor)
 
     while len(divisors) < n:
         divisors.append(INFINITY)
-    return divisors, U
+    return divisors
 
 
 def module_from_presentation(P: Presentation) -> FgZpModule:
     """Structure-theorem normal form of the cokernel of P."""
-    divisors, _ = smith_normal_form(P)
+    divisors = smith_normal_form(P)
     free_rank = sum(1 for v in divisors if v == INFINITY)
     exponents = sorted((int(v) for v in divisors if v != INFINITY and v > 0), reverse=True)
     return FgZpModule(P.p, free_rank, tuple(exponents))
@@ -240,7 +213,7 @@ def phi0_of_cokernel(P: Presentation) -> int:
     Divisors cap at N, so a residue-zero divisor contributes exactly N and
     no precision ambiguity arises.
     """
-    divisors, _ = smith_normal_form(P)
+    divisors = smith_normal_form(P)
     N = P.precision
     return sum(N if v == INFINITY else min(int(v), N) for v in divisors)
 
@@ -320,28 +293,16 @@ def fitting_from_minors(P: Presentation, i: int) -> FittingIdeal:
     return FittingIdeal(best)
 
 
-def _augmented_snf(
-    divisors: Sequence[int], column: Sequence[int], p: int, precision: int
-) -> Tuple[List[int], List[List[int]]]:
-    """SNF data of [diag(p^d) | c]: new divisors (all finite) and the left
-    transform, for quotienting a finite module by one more element."""
-    s = len(divisors)
-    rows = tuple(
-        tuple([p ** divisors[i] if j == i else 0 for j in range(s)] + [column[i] % p**precision])
-        for i in range(s)
-    )
-    pres = Presentation(p, precision, rows)
-    divs, U = smith_normal_form(pres)
-    out = [min(int(v), precision) if v != INFINITY else precision for v in divs]
-    return out, U
-
-
 def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
     """Minimum of ord_p #(M / <a_1,...,a_i>) over all i-tuples of elements.
 
-    Exhaustive and formula-free: each tuple's quotient order comes from SNF
-    of the presentation augmented by the chosen columns, built up one
-    element at a time.  The innermost element loop is vectorized.
+    Exhaustive and formula-free.  The minimum over the later elements
+    depends only on the invariants of M / <a_1>, so a_1 runs over every
+    element of the sum of Z/p^d in its own coordinates, the quotient's
+    invariants come from SNF of [diag(p^d) | a_1], and the search recurses
+    on them, memoized for this call.  The last element is the one of
+    largest order, found by taking every element's order as the largest
+    order of its coordinates.
     """
     if not M.is_torsion:
         raise ValueError("brute force requires a torsion module")
@@ -361,48 +322,40 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
         return 0
 
     work_prec = max(exps) + 1
-    base_divs, _ = smith_normal_form(diagonal_presentation(M, work_prec))
-    base = [min(int(v), work_prec) for v in base_divs[:s]]
+    base_divs = smith_normal_form(diagonal_presentation(M, work_prec))
+    base = tuple(min(int(v), work_prec) for v in base_divs[:s])
 
     if i == 0:
         return sum(base)
 
-    import numpy as np  # on first use: only this oracle needs it
+    def element_orders(d: int) -> List[int]:
+        # ord_p of the order of each x in Z/p^d: d - ord_p(x), and 0 for x = 0
+        return [d - ord_p(x, p) if x else 0 for x in range(p**d)]
 
-    # all elements of M as coordinate columns, shape (s, #M)
-    grids = np.meshgrid(*[np.arange(p**e, dtype=np.int64) for e in exps], indexing="ij")
-    elements = np.stack([g.reshape(-1) for g in grids])
+    def quotient(divs: Tuple[int, ...], a: Tuple[int, ...]) -> Tuple[int, ...]:
+        # nonzero SNF divisors of [diag(p^d) | a], non-decreasing; all are
+        # finite because every p^d is nonzero mod p^work_prec
+        rows = tuple(
+            tuple(p**d if j == k else 0 for j in range(len(divs))) + (x,)
+            for k, (d, x) in enumerate(zip(divs, a))
+        )
+        return tuple(v for v in smith_normal_form(Presentation(p, work_prec, rows)) if v)
 
-    vtab = np.empty(p**work_prec, dtype=np.int64)
-    vtab[0] = work_prec
-    for r in range(1, p**work_prec):
-        x, v = r, 0
-        while x % p == 0:
-            x //= p
-            v += 1
-        vtab[r] = v
+    memo = {}
 
-    def last_level(divs: Sequence[int], W: np.ndarray) -> int:
-        total = sum(divs)
-        coords = (W @ elements) % np.array([[p**d] for d in divs], dtype=np.int64)
-        vals = vtab[coords]
-        elt_ord = np.maximum(np.array(divs, dtype=np.int64)[:, None] - vals, 0).max(axis=0)
-        return int(total - elt_ord.max())
+    def search(divs: Tuple[int, ...], r: int) -> int:
+        if not divs:
+            return 0
+        if (divs, r) not in memo:
+            if r == 1:
+                orders = [element_orders(d) for d in divs]
+                memo[divs, r] = sum(divs) - max(map(max, itertools.product(*orders)))
+            else:
+                elements = itertools.product(*(range(p**d) for d in divs))
+                memo[divs, r] = min(search(quotient(divs, a), r - 1) for a in elements)
+        return memo[divs, r]
 
-    def descend(divs: Sequence[int], W: np.ndarray, remaining: int) -> int:
-        if remaining == 1:
-            return last_level(divs, W)
-        best = None
-        for col in range(elements.shape[1]):
-            c = [int(x) for x in (W @ elements[:, col]) % p**work_prec]
-            new_divs, U = _augmented_snf(divs, c, p, work_prec)
-            W2 = np.array(matmul_mod(U, W.tolist(), p**work_prec), dtype=np.int64)
-            sub = descend(new_divs, W2, remaining - 1)
-            if best is None or sub < best:
-                best = sub
-        return best
-
-    return descend(base, np.eye(s, dtype=np.int64), i)
+    return search(base, i)
 
 
 # ---------------------------------------------------------------------------

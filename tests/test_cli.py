@@ -363,7 +363,7 @@ def test_text_format(capsys):
 
 def test_cold_imports():
     # the command-line tool loads sympy and numpy only for the work that
-    # needs them: factoring, point counts and the brute-force oracle
+    # needs them: factoring and point counts
     import subprocess
     import sys
 
@@ -373,6 +373,8 @@ def test_cold_imports():
         "loaded = lambda: sorted({'sympy', 'numpy'} & set(sys.modules))\n"
         "assert loaded() == [], loaded()\n"
         "iwk.cli.main(['coinv', '--poly', 'T^2+3*T+6', '--p', '3', '--n-range', '1..5'])\n"
+        "assert loaded() == [], loaded()\n"
+        "iwk.cli.main(['fitting', '--module', '7:3,1', '--i', '1'])\n"
         "assert loaded() == [], loaded()\n"
         "iwk.cli.main(['twist', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
         "assert 'numpy' not in loaded(), loaded()\n"

@@ -18,9 +18,6 @@ from iwk.zpmod import (
     dual,
     fitting_from_minors,
     fitting_ideal,
-    identity_matrix,
-    is_invertible_mod,
-    matmul_mod,
     module_from_presentation,
     phi,
     phi0_of_cokernel,
@@ -45,13 +42,13 @@ def random_module(rng, p=None, max_s=4, max_e=4, max_size=None):
 
 def test_snf_diagonal_input():
     P = Presentation(5, 4, ((5, 0), (0, 25)))
-    divs, _ = smith_normal_form(P)
+    divs = smith_normal_form(P)
     assert divs == [1, 2]
 
 
 def test_snf_zero_matrix():
     P = Presentation(3, 3, ((0, 0, 0), (0, 0, 0)))
-    divs, _ = smith_normal_form(P)
+    divs = smith_normal_form(P)
     assert divs == [INFINITY, INFINITY]
 
 
@@ -59,11 +56,11 @@ def test_snf_rank_one_square():
     # [[p, p], [p, p]] mod p^3: one divisor p, one vanishing at this precision
     for p in (3, 5):
         P = Presentation(p, 3, ((p, p), (p, p)))
-        divs, _ = smith_normal_form(P)
+        divs = smith_normal_form(P)
         assert divs == [1, INFINITY]
 
 
-def test_snf_transform_identity():
+def test_snf_divisors_ordered():
     rng = random.Random(11)
     for _ in range(60):
         p = rng.choice([3, 5, 7])
@@ -71,25 +68,10 @@ def test_snf_transform_identity():
         n, m = rng.randint(1, 5), rng.randint(1, 6)
         mod = p**N
         A = tuple(tuple(rng.randrange(mod) for _ in range(m)) for _ in range(n))
-        divs, U = smith_normal_form(Presentation(p, N, A))
-        assert is_invertible_mod(U, p)
-        B = matmul_mod(U, [list(r) for r in A], mod)
+        divs = smith_normal_form(Presentation(p, N, A))
         finite = [v for v in divs if v != INFINITY]
         assert finite == sorted(finite)
         assert divs[len(finite):] == [INFINITY] * (n - len(finite))
-        pivot_columns = set()
-        for k, v in enumerate(finite):
-            assert all(x % p**v == 0 for x in B[k])
-            fresh = [
-                j for j in range(m)
-                if j not in pivot_columns
-                and ord_p(B[k][j], p) == v
-                and all(B[i][j] == 0 for i in range(k + 1, n))
-            ]
-            assert fresh
-            pivot_columns.add(fresh[0])
-        for k in range(len(finite), n):
-            assert B[k] == [0] * m
 
 
 def _full_scan_snf(P):
@@ -98,7 +80,6 @@ def _full_scan_snf(P):
     p, mod = P.p, P.p**P.precision
     n, m = P.generators, P.relations
     A = [list(row) for row in P.matrix]
-    U = identity_matrix(n)
     divisors = []
     for k in range(min(n, m)):
         best, best_v = None, INFINITY
@@ -110,23 +91,20 @@ def _full_scan_snf(P):
             break
         bi, bj = best
         A[k], A[bi] = A[bi], A[k]
-        U[k], U[bi] = U[bi], U[k]
         for row in A:
             row[k], row[bj] = row[bj], row[k]
         pv = p**best_v
         unit_inv = pow(A[k][k] // pv, -1, mod)
         A[k] = [x * unit_inv % mod for x in A[k]]
-        U[k] = [x * unit_inv % mod for x in U[k]]
         for i in range(k + 1, n):
             t = A[i][k] // pv
             A[i] = [(x - t * y) % mod for x, y in zip(A[i], A[k])]
-            U[i] = [(x - t * y) % mod for x, y in zip(U[i], U[k])]
         for j in range(k + 1, m):
             t = A[k][j] // pv
             for row in A:
                 row[j] = (row[j] - t * row[k]) % mod
         divisors.append(best_v)
-    return divisors + [INFINITY] * (n - len(divisors)), U
+    return divisors + [INFINITY] * (n - len(divisors))
 
 
 def test_snf_matches_full_scan_oracle():
@@ -198,6 +176,28 @@ def test_bruteforce_examples():
     assert phi_bruteforce(FgZpModule(3, 0, (1,)), 0) == 1
     assert phi_bruteforce(FgZpModule(3, 0, (2, 1)), 1) == 1
     assert phi_bruteforce(FgZpModule(3, 0, (2, 2)), 1) == 2
+
+
+def test_bruteforce_visits_every_element_once(monkeypatch):
+    # at i = 2 every SNF call on [diag(p^d) | a] quotients by one element a
+    # of M; together they must be all of M, each exactly once
+    import iwk.zpmod as zpmod
+
+    for M in (FgZpModule(7, 0, (3, 1)), FgZpModule(3, 0, (3, 2, 1))):
+        s = len(M.exponents)
+        seen = []
+
+        def recording_snf(P):
+            if P.generators == s and P.relations == s + 1:
+                seen.append(tuple(row[-1] % row[k] for k, row in enumerate(P.matrix)))
+            return smith_normal_form(P)
+
+        monkeypatch.setattr(zpmod, "smith_normal_form", recording_snf)
+        assert phi_bruteforce(M, 2, budget=10**7) == phi(M, 2)
+        monkeypatch.undo()
+        elements = set(itertools.product(*(range(M.p**e) for e in sorted(M.exponents))))
+        assert len(seen) == len(elements) == M.p ** sum(M.exponents)
+        assert set(seen) == elements
 
 
 def test_bruteforce_budget():
