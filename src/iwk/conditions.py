@@ -2,13 +2,15 @@
 
 The local-torsion condition is decided exactly; the CM condition is a table
 lookup on exact j-invariants.  The big-image condition is tested through
-trace witnesses ruling out every maximal-subgroup class of GL_2(F_p), with
-a division-polynomial factorization as the only negative certificate
-(p <= 7).  psi_p is factored only when the primes below
+trace witnesses ruling out every maximal-subgroup class of GL_2(F_p).  It
+has two negative certificates: a split division polynomial psi_p (p <= 7),
+and CM, whose mod-p image lies in the normalizer of a Cartan subgroup
+(Serre 1972, section 4).  psi_p is factored only when the primes below
 _SCAN_BEFORE_FACTOR leave a class open: a surjective image acts
 transitively on the x-coordinates of E[p] - 0, so psi_p is irreducible
 whenever the scan reaches HOLDS, and every verdict is the one factoring
-first would give.
+first would give.  The CM certificate is read after that step, so the scan
+goes on to the prime bound only for non-CM curves.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BadReductionAtP
+from .errors import BadReductionAtP, PostconditionFailed
 from .iwasawa import poly_mul
 from .padic import isprime, kronecker_symbol, multiplicative_order, ord_p, primerange, sympy
 from .ecq import (
@@ -249,7 +251,10 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
 
     For p <= 7 a split psi_p gives FAILS; it is factored only when the
     primes below _SCAN_BEFORE_FACTOR (or the whole bound, if smaller) leave
-    a class open, and the scan then goes on to prime_bound.
+    a class open.  A CM curve then FAILS: its image lies in the normalizer
+    of the Cartan subgroup (O/pO)^x, split when (D/p) = 1 and nonsplit when
+    (D/p) = -1, of order at most 2(p^2 - 1).  Only a non-CM curve's scan
+    goes on to prime_bound.
     """
     E_min = _require_good_odd_p(E, p)
     params: Dict = {"prime_bound": prime_bound}
@@ -271,6 +276,19 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
                 ((p, f"division polynomial factors with degrees {degrees}"),),
                 params,
             )
+    cm = cm_order(E_min)
+    if cm is not None:
+        disc = cm[0]
+        kind = {1: "split", -1: "nonsplit"}.get(kronecker_symbol(disc, p))
+        if kind is None:
+            # CM curves over Q are bad at the primes ramified in their field
+            raise PostconditionFailed(f"CM discriminant {disc} is divisible by the good prime {p}")
+        return Verdict(
+            "C1_str",
+            Status.FAILS,
+            ((p, f"CM by discriminant {disc}: image in the normalizer of the {kind} Cartan"),),
+            params,
+        )
     _scan_traces(E_min, p, found, first_hi, prime_bound + 1)
     if all(found.values()):
         witnesses = tuple(
@@ -307,23 +325,28 @@ CM_J_TABLE: Tuple[Tuple[int, int, bool], ...] = (
 )
 
 
+def cm_order(E: EllipticCurveQ) -> Optional[Tuple[int, bool]]:
+    """(discriminant, maximal?) of E's CM order, read off j; None without CM."""
+    for j, disc, maximal in CM_J_TABLE:
+        if E.j_invariant == j:
+            return disc, maximal
+    return None
+
+
 def check_c3(E: EllipticCurveQ) -> Verdict:
     """Vacuously holds for non-CM curves; fails exactly for CM by one of the
     four non-maximal orders (discriminants -12, -16, -27, -28)."""
-    j = E.j_invariant
     params = {"table": "13 rational CM j-invariants"}
-    if j.denominator != 1:
+    cm = cm_order(E)
+    if cm is None:
         return Verdict("C3", Status.HOLDS, (), {**params, "cm": False})
-    for jv, disc, maximal in CM_J_TABLE:
-        if j.numerator == jv:
-            if maximal:
-                return Verdict(
-                    "C3", Status.HOLDS, (), {**params, "cm": True, "cm_disc": disc}
-                )
-            return Verdict(
-                "C3",
-                Status.FAILS,
-                ((abs(disc), f"CM by the non-maximal order of discriminant {disc}"),),
-                {**params, "cm": True, "cm_disc": disc},
-            )
-    return Verdict("C3", Status.HOLDS, (), {**params, "cm": False})
+    disc, maximal = cm
+    params = {**params, "cm": True, "cm_disc": disc}
+    if maximal:
+        return Verdict("C3", Status.HOLDS, (), params)
+    return Verdict(
+        "C3",
+        Status.FAILS,
+        ((abs(disc), f"CM by the non-maximal order of discriminant {disc}"),),
+        params,
+    )

@@ -154,10 +154,14 @@ def smith_normal_form(P: Presentation) -> List[Valuation]:
     to exactly p^v and its column cleared below it; column operations would
     only clear the pivot's row, which no later step reads, so none are made.
     """
-    p, N = P.p, P.precision
+    return _smith_divisors([list(row) for row in P.matrix], P.p, P.precision)
+
+
+def _smith_divisors(A: List[List[int]], p: int, N: int) -> List[Valuation]:
+    """smith_normal_form on rows of residues already reduced mod p^N; A is
+    overwritten."""
     mod = p**N
-    n, m = P.generators, P.relations
-    A = [list(row) for row in P.matrix]
+    n, m = len(A), len(A[0]) if A else 0
 
     divisors: List[Valuation] = []
     floor = 0
@@ -334,12 +338,13 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
 
     def quotient(divs: Tuple[int, ...], a: Tuple[int, ...]) -> Tuple[int, ...]:
         # nonzero SNF divisors of [diag(p^d) | a], non-decreasing; all are
-        # finite because every p^d is nonzero mod p^work_prec
-        rows = tuple(
-            tuple(p**d if j == k else 0 for j in range(len(divs))) + (x,)
+        # finite because every p^d is nonzero mod p^work_prec, and every
+        # entry is already reduced
+        rows = [
+            [p**d if j == k else 0 for j in range(len(divs))] + [x]
             for k, (d, x) in enumerate(zip(divs, a))
-        )
-        return tuple(v for v in smith_normal_form(Presentation(p, work_prec, rows)) if v)
+        ]
+        return tuple(v for v in _smith_divisors(rows, p, work_prec) if v)
 
     memo = {}
 

@@ -96,6 +96,16 @@ def test_exit_two_on_fails(capsys):
     assert main(["analyze", "--curve", "0,-1,1,-10,-20", "--p", "7"]) == 2
 
 
+def test_exit_two_on_cm_certificate(capsys):
+    # 27a1 at p = 5: C2 and C3 hold, and C1_str fails by CM alone
+    assert main(["analyze", "--curve", "0,0,1,0,-7", "--p", "5"]) == 2
+    verdicts = json.loads(capsys.readouterr().out)["verdicts"]
+    assert verdicts["C2"]["status"] == verdicts["C3"]["status"] == "HOLDS"
+    assert verdicts["C1_str"]["witnesses"] == [
+        {"prime": 5, "detail": "CM by discriminant -3: image in the normalizer of the nonsplit Cartan"}
+    ]
+
+
 def test_exit_three_on_inconclusive_only(capsys):
     code = main(["analyze", "--curve", "0,0,1,-7,6", "--p", "7", "--ap-bound", "0"])
     assert code == 3
@@ -125,11 +135,10 @@ def test_report_determinism(capsys):
     assert first == second
 
 
-# SHA-256 of the reports below, computed before the division polynomials
-# became integer lists, the minimal model was cached and the C1 trace scan
-# ran ahead of the psi_p factorization; any change to the report bytes must
-# change this value on purpose.
-GOLDEN_CORPUS_SHA256 = "e7c663fb2d3d027548552e3a148ba8b478f1285e67aa90b2c14a48a2dd784c37"
+# SHA-256 of the reports below, with CM curves failing C1_str by their
+# Cartan certificate; any change to the report bytes must change this value
+# on purpose.
+GOLDEN_CORPUS_SHA256 = "c20366daded4e384f62f0147e2bcf772fc9e9b0a6de5661313767fbe9917e9af"
 
 
 def test_corpus_reports_golden():

@@ -5,7 +5,7 @@ import pytest
 import sympy
 
 from iwk import conditions
-from iwk.errors import BadReductionAtP
+from iwk.errors import BadReductionAtP, PostconditionFailed
 from iwk.conditions import (
     CM_J_TABLE,
     Status,
@@ -114,10 +114,16 @@ def test_c1_str_zero_budget(e5077):
     assert v.parameters["prime_bound"] == 0
 
 
-def test_c1_str_never_fails_for_large_p(e5077):
-    # for p > 7 no negative certificate exists; only HOLDS or INCONCLUSIVE
+def test_c1_str_never_fails_for_large_p(e5077, corpus):
+    # for p > 7 psi_p is not factored, so CM is the only negative
+    # certificate: a non-CM curve gets HOLDS or INCONCLUSIVE there
     v = check_c1_str(e5077, 11, 200)
     assert v.status in (Status.HOLDS, Status.INCONCLUSIVE)
+    d = dict(corpus)
+    for label, p in (("27a1", 11), ("121b1", 13)):
+        v = check_c1_str(d[label], p)
+        assert v.status == Status.FAILS and v.witnesses[0][0] == p, label
+        assert v.witnesses[0][1].startswith("CM by discriminant"), label
 
 
 def test_c1_str_small_p3(e5077):
@@ -159,6 +165,60 @@ def test_c3_twist_invariance():
     # CM status depends only on j, hence is twist-invariant
     E = EllipticCurveQ(0, 0, 0, -15, 22)
     assert check_c3(quadratic_twist(E, -7)).status == Status.FAILS
+
+
+def _cm_curves():
+    """A curve for each of the 13 rational CM j-invariants, with its
+    quadratic twists by -1, 5 and -7."""
+    for j, disc, _ in CM_J_TABLE:
+        if j == 0:
+            E = EllipticCurveQ(0, 0, 0, 0, 1)
+        elif j == 1728:
+            E = EllipticCurveQ(0, 0, 0, -1, 0)
+        else:
+            k = j * (j - 1728)
+            E = EllipticCurveQ(0, 0, 0, -3 * k, -2 * k * (j - 1728))
+        assert E.j_invariant == j
+        for d in (1, -1, 5, -7):
+            yield disc, E if d == 1 else quadratic_twist(E, d)
+
+
+def test_c1_str_cm_cartan_oracle(monkeypatch):
+    # a CM image lies in the normalizer of the Cartan subgroup named by
+    # (D/p), so no trace ever rules that class out; check_c1_str says FAILS
+    monkeypatch.setattr(
+        conditions, "count_points_ap", functools.lru_cache(maxsize=None)(count_points_ap)
+    )
+    pairs = 0
+    for disc, E in _cm_curves():
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            try:
+                E_min = conditions._require_good_odd_p(E, p)
+            except BadReductionAtP:
+                continue
+            chi = kronecker_symbol(disc, p)
+            assert chi != 0, (E.ainvs, p)
+            cls = "split" if chi == 1 else "nonsplit"
+            found = {c: None for c in conditions._WITNESS_CLASSES}
+            conditions._scan_traces(E_min, p, found, 3, 2001)
+            assert found[f"{cls}_cartan_normalizer"] is None, (E.ainvs, p)
+            v = check_c1_str(E, p)
+            assert v.status == Status.FAILS, (E.ainvs, p)
+            detail = v.witnesses[0][1]
+            if not detail.startswith("division polynomial"):
+                assert detail == (
+                    f"CM by discriminant {disc}: image in the normalizer of the {cls} Cartan"
+                ), (E.ainvs, p)
+            pairs += 1
+    assert pairs == 224
+
+
+def test_c1_str_cm_disc_at_good_p_raises(monkeypatch, corpus):
+    # CM curves over Q are bad at the primes ramified in their field, so a
+    # table row whose discriminant a good p divides is a fault, not a verdict
+    monkeypatch.setattr(conditions, "CM_J_TABLE", ((0, -15, True),))
+    with pytest.raises(PostconditionFailed):
+        check_c1_str(dict(corpus)["27a1"], 5)
 
 
 def test_cm_table_shape():
@@ -281,6 +341,7 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
         except ValueError:
             continue
     seen = set()
+    cm_decided = 0
     for E in curves:
         for p in (3, 5, 7):
             for bound in (0, 60, 1000):
@@ -290,6 +351,18 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
                     with pytest.raises(BadReductionAtP):
                         check_c1_str(E, p, bound)
                     continue
-                assert check_c1_str(E, p, bound).to_json_dict() == expected, (E.ainvs, p, bound)
+                got = check_c1_str(E, p, bound).to_json_dict()
+                cm = conditions.cm_order(E)
+                if expected["status"] == "INCONCLUSIVE" and cm is not None:
+                    # the CM certificate decides what the scan leaves open
+                    assert got["status"] == "FAILS", (E.ainvs, p, bound)
+                    assert got["witnesses"][0]["prime"] == p
+                    assert got["witnesses"][0]["detail"].startswith(
+                        f"CM by discriminant {cm[0]}: image in the normalizer of the "
+                    ), (E.ainvs, p, bound)
+                    cm_decided += 1
+                else:
+                    assert got == expected, (E.ainvs, p, bound)
                 seen.add(expected["status"])
     assert seen == {"HOLDS", "FAILS", "INCONCLUSIVE"}
+    assert cm_decided

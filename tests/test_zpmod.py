@@ -187,12 +187,13 @@ def test_bruteforce_visits_every_element_once(monkeypatch):
         s = len(M.exponents)
         seen = []
 
-        def recording_snf(P):
-            if P.generators == s and P.relations == s + 1:
-                seen.append(tuple(row[-1] % row[k] for k, row in enumerate(P.matrix)))
-            return smith_normal_form(P)
+        def recording_snf(A, p, N):
+            if len(A) == s and len(A[0]) == s + 1:
+                seen.append(tuple(row[-1] % row[k] for k, row in enumerate(A)))
+            return smith_divisors(A, p, N)
 
-        monkeypatch.setattr(zpmod, "smith_normal_form", recording_snf)
+        smith_divisors = zpmod._smith_divisors
+        monkeypatch.setattr(zpmod, "_smith_divisors", recording_snf)
         assert phi_bruteforce(M, 2, budget=10**7) == phi(M, 2)
         monkeypatch.undo()
         elements = set(itertools.product(*(range(M.p**e) for e in sorted(M.exponents))))
