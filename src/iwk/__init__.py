@@ -79,13 +79,11 @@ from .ecq import (
     TwistClass,
     canonical_minimal,
     count_points_ap,
-    count_points_naive,
     minimal_model,
     potentially_multiplicative_primes,
     quadratic_twist,
     reduction_type,
     torsion_in_cyclotomic_local,
-    trace_naive,
 )
 from .conditions import Status, Verdict, check_c1_str, check_c2, check_c2_sufficient, check_c3
 from .twist import TwistCertificate, construct_c2_twist

@@ -2,8 +2,9 @@
 
 Covers global minimal models (Laska-Kraus-Connell), reduction-type
 classification at every prime, quadratic twisting through the short model,
-trace-of-Frobenius by Legendre sums, and the local torsion criterion over
-the cyclotomic tower at potentially multiplicative primes.
+traces of Frobenius (a Legendre sum for small primes, Shanks-Mestre above
+them), and the local torsion criterion over the cyclotomic tower at
+potentially multiplicative primes.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ from .errors import (
 )
 from .padic import Valuation, factorint, kronecker_symbol, multiplicative_order, ord_p
 
+# The largest prime count_points_ap takes: a budget, not a word-size limit.
+# Shanks-Mestre needs O(ell^(1/4)) point operations, but the Legendre sum it
+# falls back on is linear in ell.
 AP_PRIME_BOUND = 10**6
 
 
@@ -340,47 +344,153 @@ def canonical_minimal(E: EllipticCurveQ) -> EllipticCurveQ:
 # Point counting.
 
 
-def count_points_naive(E: EllipticCurveQ, ell: int) -> int:
-    """#E(F_ell) by full enumeration of the affine plane, plus infinity."""
-    a1, a2, a3, a4, a6 = (a % ell for a in E.ainvs)
-    count = 1
-    for x in range(ell):
-        rhs = (x**3 + a2 * x * x + a4 * x + a6) % ell
-        for y in range(ell):
-            if (y * y + a1 * x * y + a3 * y) % ell == rhs:
-                count += 1
-    return count
+# Below this prime the table of squares is faster than Shanks-Mestre (the
+# per-call timings are in CHANGES.md); ell = 3 is always below it.
+_SHANKS_MESTRE_FROM = 128
+# Shanks-Mestre takes its points at x0 = 0, 1, ... below this, then leaves
+# a_ell to the Legendre sum; by Mestre's theorem the candidates narrow to one
+# long before this for ell > 229.
+_SHANKS_MESTRE_POINTS = 32
 
 
-def trace_naive(E: EllipticCurveQ, ell: int) -> int:
-    if ord_p(E.discriminant, ell) != 0:
-        raise BadReductionPrime(f"{ell} divides the discriminant")
-    return ell + 1 - count_points_naive(E, ell)
+def _legendre_trace(E: EllipticCurveQ, ell: int) -> int:
+    """a_ell = -sum_u (u^3 + b2 u^2 + c u + e | ell), c = 8 b4, e = 16 b6, by a
+    table of squares.
+
+    For odd ell, v = 2y + a1 x + a3 gives v^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
+    and u = 4x scales the right side by 16, a square.  The terms at +u and -u
+    are (b2 u^2 + e) +- u (u^2 + c), so half the residues suffice.
+    """
+    chi = [-1] * ell
+    for x in range(1, (ell + 1) // 2):
+        chi[x * x % ell] = 1
+    chi[0] = 0
+    b2, c, e = E.b2 % ell, 8 * E.b4 % ell, 16 * E.b6 % ell
+    return -chi[e] - sum([
+        chi[((v := b2 * u * u + e) + (w := u * (u * u + c))) % ell] + chi[(v - w) % ell]
+        for u in range(1, (ell + 1) // 2)
+    ])
+
+
+def _add(P, Q, a: int, ell: int):
+    """P + Q on y^2 = x^3 + a x + b over F_ell; None is the point at infinity."""
+    if P is None:
+        return Q
+    if Q is None:
+        return P
+    x1, y1 = P
+    x2, y2 = Q
+    if x1 != x2:
+        lam = (y2 - y1) * pow(x2 - x1, -1, ell) % ell
+    elif y1 == y2 and y1:
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, ell) % ell
+    else:
+        return None
+    x3 = (lam * lam - x1 - x2) % ell
+    return x3, (lam * (x1 - x3) - y1) % ell
+
+
+def _mul(P, n: int, a: int, ell: int):
+    """n P for n >= 1, by double-and-add."""
+    R = P
+    for bit in bin(n)[3:]:
+        R = _add(R, R, a, ell)
+        if bit == "1":
+            R = _add(R, P, a, ell)
+    return R
+
+
+def _multiples(P, a: int, ell: int, low: int, high: int, m: int) -> Optional[List[int]]:
+    """Every N in [low, high] with N P = O, or None if P has order at most 2m + 1.
+
+    Baby steps jP (j <= m) are keyed by x.  Giant steps of (2m + 1) P visit
+    the centres c of windows [c - m, c + m] that tile [low, high]: cP = jP
+    gives N = c - j, and cP = -jP gives N = c + j.  The order of P exceeds
+    2m + 1, so the points +-jP are distinct and a window holds at most one N.
+    The baby step jP + P, the inner loop, is written out.
+    """
+    x1, y1 = P
+    if not y1:
+        return None  # P has order 2
+    baby = {x1: (1, y1)}
+    xm, ym = P
+    x, y = _add(P, P, a, ell)
+    for j in range(2, m + 1):  # (x, y) = jP
+        if x in baby:
+            return None  # jP = +-iP with i < j
+        baby[x] = (j, y)
+        xm, ym = x, y
+        lam = (y - y1) * pow(x - x1, -1, ell) % ell
+        x = (lam * lam - x - x1) % ell
+        y = (lam * (x1 - x) - y1) % ell
+    if x in baby:
+        return None  # (m + 1) P = +-iP with i <= m
+    G = _add((xm, ym), (x, y), a, ell)  # (2m + 1) P
+    step = 2 * m + 1
+    first, last = (low + m) // step, (high + m) // step
+    Q = _mul(G, first, a, ell)  # first >= 1 once ell >= 11
+    found = []
+    for c in range(first * step, last * step + 1, step):
+        if c > first * step:
+            Q = _add(Q, G, a, ell)
+        if Q is None:
+            found.append(c)
+        elif Q[0] in baby:
+            j, y = baby[Q[0]]
+            found.append(c - j if y == Q[1] else c + j)
+    return [N for N in found if low <= N <= high]
+
+
+def _shanks_mestre(E: EllipticCurveQ, ell: int) -> Optional[int]:
+    """a_ell from the orders of points on E and its quadratic twist, for ell >= 11;
+    None if the points at x0 < `_SHANKS_MESTRE_POINTS` leave more than one candidate.
+
+    E is y^2 = x^3 + A x + B with A = -27 c4, B = -54 c6 over F_ell.  For
+    d = x0^3 + A x0 + B != 0 the point (x0 d, d^2) lies on
+    y^2 = x^3 + A d^2 x + B d^3, which is E when (d | ell) = 1 and its
+    quadratic twist when it is -1, so no square root is taken.  With
+    chi = (d | ell), each N in the Hasse interval with N P = O gives the
+    candidate chi (ell + 1 - N), and a_ell is always among them; successive
+    points intersect the candidates until one is left (Cohen, GTM 138,
+    Alg. 7.4.12; Schoof, J. Theor. Nombres Bordeaux 7 (1995), Sec. 3).
+    """
+    A, B = -27 * E.c4 % ell, -54 * E.c6 % ell
+    r = math.isqrt(4 * ell)  # |a_ell| <= 2 sqrt(ell), never an integer
+    m = math.isqrt(2 * r)
+    traces = None
+    for x0 in range(_SHANKS_MESTRE_POINTS):
+        d = ((x0 * x0 + A) * x0 + B) % ell
+        if not d:
+            continue  # x0 is a root: no point of this form
+        dd = d * d % ell
+        orders = _multiples((x0 * d % ell, dd), A * dd % ell, ell, ell + 1 - r, ell + 1 + r, m)
+        if orders is None:
+            continue  # small order: take the next point
+        chi = 1 if pow(d, (ell - 1) // 2, ell) == 1 else -1
+        found = {chi * (ell + 1 - N) for N in orders}
+        traces = found if traces is None else traces & found
+        if len(traces) == 1:
+            return traces.pop()
+        if not traces:
+            raise PostconditionFailed(f"no trace at {ell} fits every point's order")
+    return None
 
 
 def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
-    """a_ell by the Legendre sum over the completed-square model.
+    """a_ell = ell + 1 - #E(F_ell) at an odd prime of good reduction.
 
-    For odd ell the substitution v = 2y + a1 x + a3 turns the count into
-    -sum_x (4x^3 + b2 x^2 + 2 b4 x + b6 | ell).
+    Below `_SHANKS_MESTRE_FROM` by the Legendre sum over a table of squares;
+    from it by Shanks-Mestre baby-step giant-step, in O(ell^(1/4)) point
+    operations, with the Legendre sum deciding the rare case it leaves open.
     """
     if ell > AP_PRIME_BOUND:
         raise BoundExceeded(f"{ell} exceeds the bound {AP_PRIME_BOUND}")
-    if ell == 2 or ell % 2 == 0:
-        raise ValueError("Legendre-sum path requires an odd prime")
+    if ell % 2 == 0:
+        raise ValueError("point counts need an odd prime")
     if ord_p(E.discriminant, ell) != 0:
         raise BadReductionPrime(f"{ell} divides the discriminant")
-    import numpy as np  # on first use: most commands count no points
-
-    x = np.arange(ell, dtype=np.int64)
-    # With every coefficient reduced mod ell, Horner's scheme stays below
-    # 5 ell^3 < 2^63 for ell <= AP_PRIME_BOUND, so one final reduction suffices.
-    f = ((4 * x + E.b2 % ell) * x + (2 * E.b4) % ell) * x + E.b6 % ell
-    f %= ell
-    chi = np.full(ell, -1, dtype=np.int8)  # the Legendre symbol mod ell
-    chi[x * x % ell] = 1
-    chi[0] = 0
-    return TraceRecord(ell, -int(chi[f].sum(dtype=np.int64)))
+    a = _shanks_mestre(E, ell) if ell >= _SHANKS_MESTRE_FROM else None
+    return TraceRecord(ell, _legendre_trace(E, ell) if a is None else a)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared fixtures: a corpus of small standard curves.
+"""Shared fixtures: a corpus of small standard curves, and the naive point
+counts that serve as oracles.
 
 Labels follow the usual tables; every fact the tests assert about these
 curves is computed (and cross-checked) by the package itself, except the
@@ -9,6 +10,7 @@ suite.
 import pytest
 
 from iwk.ecq import EllipticCurveQ
+from iwk.errors import BadReductionPrime
 
 CORPUS = [
     ("11a1", (0, -1, 1, -10, -20)),
@@ -44,3 +46,21 @@ def corpus():
 @pytest.fixture(scope="session")
 def e5077():
     return EllipticCurveQ(0, 0, 1, -7, 6)
+
+
+def count_points_naive(E, ell):
+    """#E(F_ell) by full enumeration of the affine plane, plus infinity."""
+    a1, a2, a3, a4, a6 = (a % ell for a in E.ainvs)
+    count = 1
+    for x in range(ell):
+        rhs = (x**3 + a2 * x * x + a4 * x + a6) % ell
+        for y in range(ell):
+            if (y * y + a1 * x * y + a3 * y) % ell == rhs:
+                count += 1
+    return count
+
+
+def trace_naive(E, ell):
+    if E.discriminant % ell == 0:
+        raise BadReductionPrime(f"{ell} divides the discriminant")
+    return ell + 1 - count_points_naive(E, ell)

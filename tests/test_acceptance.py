@@ -21,7 +21,6 @@ from iwk.ecq import (
     canonical_minimal,
     count_points_ap,
     reduction_type,
-    trace_naive,
 )
 from iwk.growth import class_number_growth, mordell_weil_bound, IwasawaInvariants
 from iwk.iwasawa import (
@@ -48,7 +47,7 @@ from iwk.zpmod import (
     phi_bruteforce,
 )
 
-from conftest import CORPUS
+from conftest import CORPUS, trace_naive
 
 
 def _report(number: int, started: float, detail: str) -> None:

@@ -370,9 +370,9 @@ def test_text_format(capsys):
     assert "lambda_hat: 2" in out
 
 
-def test_cold_imports():
-    # the command-line tool loads sympy and numpy only for the work that
-    # needs them: factoring and point counts
+def test_cold_imports(tmp_path):
+    # the command-line tool loads sympy only for the work that needs it,
+    # factoring, and numpy never
     import subprocess
     import sys
 
@@ -387,11 +387,16 @@ def test_cold_imports():
         "assert loaded() == [], loaded()\n"
         "iwk.cli.main(['twist', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
         "assert 'numpy' not in loaded(), loaded()\n"
+        "iwk.cli.main(['analyze', '--curve', '0,0,1,-7,6', '--p', '7'])\n"
+        "assert 'numpy' not in loaded(), loaded()\n"
+        "iwk.cli.main(['cache', '--curve', '0,0,1,-7,6', '--bound', '2000'])\n"
+        "assert 'numpy' not in loaded(), loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, "IWK_CACHE_DIR": str(tmp_path)}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
+    assert os.listdir(tmp_path), "the cache step wrote no file"
 
 
 def test_cli_subprocess_smoke():

@@ -6,9 +6,10 @@ import sys
 from fractions import Fraction
 
 import pytest
-from sympy import factorint, nextprime, prevprime
+from sympy import factorint, nextprime, prevprime, primerange
 
 import iwk
+from conftest import count_points_naive, trace_naive
 from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime
 from iwk.ecq import (
     AP_PRIME_BOUND,
@@ -18,7 +19,6 @@ from iwk.ecq import (
     TwistClass,
     canonical_minimal,
     count_points_ap,
-    count_points_naive,
     is_minimal_at,
     minimal_model,
     potentially_multiplicative_primes,
@@ -26,7 +26,6 @@ from iwk.ecq import (
     reduction_summary,
     reduction_type,
     torsion_in_cyclotomic_local,
-    trace_naive,
 )
 from iwk.padic import kronecker_symbol, ord_p
 
@@ -194,8 +193,6 @@ def test_count_points_errors(e5077):
 
 
 def test_count_points_cross_check(corpus):
-    from sympy import primerange
-
     for label, E in corpus[:6]:
         disc = E.discriminant
         for ell in primerange(3, 50):
@@ -205,8 +202,6 @@ def test_count_points_cross_check(corpus):
 
 
 def test_hasse_bound(corpus):
-    from sympy import primerange
-
     for label, E in corpus:
         for ell in primerange(3, 200):
             if E.discriminant % ell == 0:
@@ -222,13 +217,13 @@ def _legendre_sum_trace(E, ell):
         chi[x * x % ell] = 1
     chi[0] = 0
     b2, b4, b6 = E.b2 % ell, 2 * E.b4 % ell, E.b6 % ell
-    return -sum(chi[(((4 * x + b2) * x + b4) * x + b6) % ell] for x in range(ell))
+    return -sum([chi[(((4 * x + b2) * x + b4) * x + b6) % ell] for x in range(ell)])
 
 
-def test_count_points_int64_bound():
-    # the int64 Horner evaluation stays below 5 ell^3 < 2^63 up to
-    # AP_PRIME_BOUND; b-invariants of about 30 digits, and at the largest
-    # prime a model whose reduced coefficients all sit at ell - 1
+def test_count_points_large_invariants():
+    # b-invariants of about 30 digits at primes up to 10^5, and at the
+    # largest prime below AP_PRIME_BOUND a model whose reduced coefficients
+    # all sit at ell - 1
     rng = random.Random(20221018)
     top = prevprime(AP_PRIME_BOUND + 1)
     assert top == 999983
@@ -246,6 +241,63 @@ def test_count_points_int64_bound():
     cases.append((E, top))
     for E, ell in cases:
         assert count_points_ap(E, ell).a_ell == _legendre_sum_trace(E, ell), (E.ainvs, ell)
+
+
+def test_count_points_against_legendre_oracle(monkeypatch):
+    # the table of squares below the crossover and Shanks-Mestre above it,
+    # against the Legendre sum: seeded random curves, j = 0, j = 1728 and
+    # twists of CM curves at every good ell <= 3000, then sampled primes near
+    # 10^4, near 10^5 and at 999983
+    from iwk import ecq
+
+    rng = random.Random(20221019)
+    cm = [EllipticCurveQ(0, 0, 1, 0, 0),  # j = 0
+          EllipticCurveQ(0, 0, 0, 1, 0),  # j = 1728
+          EllipticCurveQ(1, -1, 0, -2, -1)]  # 49a1, CM by the order of discriminant -7
+    curves = cm + [quadratic_twist(cm[0], -3), quadratic_twist(cm[2], 5)]
+    while len(curves) < 8:
+        size = 10 ** rng.randint(1, 9)
+        try:
+            curves.append(EllipticCurveQ(*(rng.randint(-size, size) for _ in range(5))))
+        except ValueError:
+            continue
+    sets = []  # (ell, every N with N P = O for a point, or None if its order is small)
+    multiples = ecq._multiples
+
+    def recorded(P, a, ell, *window):
+        orders = multiples(P, a, ell, *window)
+        sets.append((ell, orders))
+        return orders
+
+    monkeypatch.setattr(ecq, "_multiples", recorded)
+    # the reference sum is linear in ell, so the large primes are shared out:
+    # two near 10^4 for every curve, one near 10^5 for every other curve, and
+    # 999983 for j = 1728
+    samples = [nextprime(10**4), prevprime(10**4), nextprime(10**5), 999983]
+    for i, E in enumerate(curves):
+        far = samples[: 4 if i == 1 else 3 if i % 2 else 2]
+        for ell in list(primerange(3, 3001)) + far:
+            if E.discriminant % ell:
+                assert count_points_ap(E, ell).a_ell == _legendre_sum_trace(E, ell), (E.ainvs, ell)
+    low = ecq._SHANKS_MESTRE_FROM
+    assert 100 <= low < 229
+    # below 229 a point can leave several candidates to intersect
+    assert any(low <= ell < 229 and orders and len(orders) > 1 for ell, orders in sets)
+    # with one point allowed, those cases fall back to the exact sum
+    fallbacks = []
+    legendre = ecq._legendre_trace
+
+    def counted(E, ell):
+        fallbacks.append(ell)
+        return legendre(E, ell)
+
+    monkeypatch.setattr(ecq, "_SHANKS_MESTRE_POINTS", 1)
+    monkeypatch.setattr(ecq, "_legendre_trace", counted)
+    for E in curves:
+        for ell in primerange(low, 229):
+            if E.discriminant % ell:
+                assert count_points_ap(E, ell).a_ell == _legendre_sum_trace(E, ell), (E.ainvs, ell)
+    assert len(fallbacks) >= 5
 
 
 def test_torsion_local_split_always_true(corpus):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from sympy import factorint
 
@@ -70,6 +72,28 @@ def test_round_trip_and_certificates(corpus):
             if done >= 6:
                 return
     assert done >= 5
+
+
+def test_round_trip_on_seeded_random_curves():
+    # 100 seeded pairs (E, p), p in {3, 5, 7}, where C2 fails on E
+    rng = random.Random(20221019)
+    done, primes = 0, set()
+    while done < 100:
+        try:
+            E = EllipticCurveQ(*(rng.randint(-30, 30) for _ in range(5)))
+        except ValueError:
+            continue
+        p = rng.choice((3, 5, 7))
+        if E.discriminant % p == 0 or check_c2(E, p).status != Status.FAILS:
+            continue
+        E_tw, cert = construct_c2_twist(E, p)
+        cert.validate()
+        assert not cert.trivial
+        assert check_c2(E_tw, p).status == Status.HOLDS, (E.ainvs, p)
+        assert E_tw.j_invariant == E.j_invariant
+        done += 1
+        primes.add(p)
+    assert primes == {3, 5, 7}
 
 
 def test_legendre_sign_table(corpus):
