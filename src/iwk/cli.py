@@ -122,12 +122,15 @@ def parse_poly_literal(text: str) -> List[int]:
 
 
 def parse_n_range(text: str) -> List[int]:
-    """'2..5' or comma-separated levels."""
-    s = text.strip()
-    if ".." in s:
-        lo, hi = s.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in s.split(",") if x.strip()]
+    """'2..5' or comma-separated levels: at least one, none repeated."""
+    lo, dots, hi = text.strip().partition("..")
+    if dots:
+        levels = list(range(int(lo), int(hi) + 1))
+    else:
+        levels = [int(x) for x in lo.split(",") if x.strip()]
+    if not levels or len(set(levels)) < len(levels):
+        raise ValueError(f"n-range {text!r} must name at least one level, none twice")
+    return levels
 
 
 def _fmt_val(v) -> object:

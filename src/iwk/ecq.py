@@ -94,9 +94,14 @@ class EllipticCurveQ:
         return Fraction(self.c4**3, self.discriminant)
 
     @functools.cached_property
+    def bad_primes(self) -> Tuple[int, ...]:
+        """The primes dividing the discriminant, factored once per curve object."""
+        return tuple(sorted(factorint(abs(self.discriminant))))
+
+    @functools.cached_property
     def j_denominator_primes(self) -> Tuple[int, ...]:
-        """The primes dividing the denominator of j, factored once per curve object."""
-        return tuple(sorted(factorint(self.j_invariant.denominator)))
+        """The primes dividing den(j), read off `bad_primes`: den(j) divides the discriminant."""
+        return tuple(ell for ell in self.bad_primes if self.j_invariant.denominator % ell == 0)
 
     @functools.cached_property
     def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, Fraction, Fraction, Fraction]]:
@@ -318,21 +323,20 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
 
 
 def is_squarefree(d: int) -> bool:
-    if d == 0:
-        return False
-    return all(e == 1 for e in factorint(abs(d)).values())
+    return d != 0 and all(e == 1 for e in factorint(abs(d)).values())
 
 
 def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
-    """Twist by squarefree d through the short model, re-minimalized."""
+    """Twist by squarefree d through the short model, re-minimalized; it keeps E's j."""
     if not is_squarefree(d):
         raise ValueError("twist parameter must be squarefree and nonzero")
     A = -27 * E.c4
     B = -54 * E.c6
     twisted = EllipticCurveQ(0, 0, 0, A * d * d, B * d**3)
     E_tw, _ = minimal_model(twisted)
-    if d == 1 and E_tw.j_invariant != E.j_invariant:
-        raise PostconditionFailed("trivial twist changed the j-invariant")
+    if E_tw.j_invariant != E.j_invariant:
+        raise PostconditionFailed(f"the twist by {d} changed the j-invariant")
+    E_tw.__dict__["j_denominator_primes"] = E.j_denominator_primes
     return E_tw
 
 
@@ -526,7 +530,4 @@ def potentially_multiplicative_primes(E: EllipticCurveQ) -> List[int]:
 
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:
     E_min = canonical_minimal(E)
-    return {
-        ell: reduction_type(E_min, ell)
-        for ell in sorted(factorint(abs(E_min.discriminant)))
-    }
+    return {ell: reduction_type(E_min, ell) for ell in E_min.bad_primes}

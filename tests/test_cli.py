@@ -61,6 +61,10 @@ def test_parse_poly_literal():
 def test_parse_n_range():
     assert parse_n_range("2..5") == [2, 3, 4, 5]
     assert parse_n_range("1,4,2") == [1, 4, 2]
+    assert parse_n_range(" 3 ") == [3]
+    for empty_or_repeated in ("5..2", ",", "", "1,2,3,3", "2,1,2"):
+        with pytest.raises(ValueError, match="n-range"):
+            parse_n_range(empty_or_repeated)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +167,7 @@ def test_corpus_reports_golden():
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
 
 
-def test_j_denominator_factored_once(monkeypatch):
+def test_each_curve_factored_once(monkeypatch):
     factored = []
     factor = ecq.factorint
 
@@ -174,10 +178,26 @@ def test_j_denominator_factored_once(monkeypatch):
     monkeypatch.setattr(ecq, "factorint", counting_factor)
     E = EllipticCurveQ(0, 1, 0, 4, 4)  # 20a1: den(j) = 25, Delta = -2^8 5^2
     analyze_curve(E, 3)
-    assert factored.count(25) == 1
-    # the twist has the same j; it is factored again once, for the new curve
     E_tw, _ = construct_c2_twist(E, 3)
-    assert E_tw.j_invariant.denominator == 25 and factored.count(25) == 2
+    # den(j) is read off the one factorization of |Delta|, and the twist,
+    # whose j is the same, takes its primes from E
+    assert E_tw.j_invariant.denominator == 25
+    assert factored.count(6400) == 1 and 25 not in factored
+
+    # the golden run: each standard curve's |Delta_min| once, whatever the
+    # number of primes p it is analyzed at, and no twisted curve's at all
+    factored.clear()
+    twists = []
+    for label, a in CORPUS:
+        E = EllipticCurveQ(*a)
+        for p in (3, 5, 7, 11, 13):
+            if E.discriminant % p == 0:
+                continue
+            report = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
+            if report.data["verdicts"]["C2"]["status"] == "FAILS":
+                twists.append(construct_c2_twist(E, p)[0])
+        assert factored.count(abs(E.minimal[0].discriminant)) == 1, label
+    assert twists and not {abs(E_tw.discriminant) for E_tw in twists} & set(factored)
 
 
 def test_minimal_model_built_once(monkeypatch):
@@ -279,6 +299,13 @@ def test_coinv_command(capsys):
     data = json.loads(capsys.readouterr().out)
     assert [row["order"] for row in data["table"]] == [1, 3, 5, 7]
     assert data["bounded_tail"] is True
+    # an empty window or a repeated level is an input error, not a verdict
+    args = ["coinv", "--poly", "1", "--mu", "1", "--p", "3", "--n-range"]
+    assert main([*args, "1,2,3"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounded_tail"] is False
+    for window in ("5..2", ",", "1,2,3,3"):
+        assert main([*args, window]) == 1
+        assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +430,9 @@ def test_cli_subprocess_smoke():
     import subprocess
     import sys
 
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     run = lambda *args: subprocess.run(
-        [sys.executable, "-m", "iwk.cli", *args], capture_output=True, text=True
+        [sys.executable, "-m", "iwk.cli", *args], capture_output=True, text=True, env=env
     )
     ok = run("fitting", "--module", "7:3,1", "--i", "1")
     assert ok.returncode == 0 and json.loads(ok.stdout)["phi"] == 1

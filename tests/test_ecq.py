@@ -9,8 +9,9 @@ import pytest
 from sympy import factorint, nextprime, prevprime, primerange
 
 import iwk
+from iwk import ecq
 from conftest import count_points_naive, trace_naive
-from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime
+from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime, PostconditionFailed
 from iwk.ecq import (
     AP_PRIME_BOUND,
     EllipticCurveQ,
@@ -143,6 +144,15 @@ def test_twist_preserves_j(corpus):
     for label, E in corpus[:10]:
         for d in (-1, 5, -55):
             assert quadratic_twist(E, d).j_invariant == E.j_invariant
+
+
+def test_twist_checks_j_for_every_d(monkeypatch):
+    # the twist takes E's j-denominator primes, so a changed j must not get through
+    E = EllipticCurveQ(0, -1, 1, -10, -20)  # 11a1
+    other = EllipticCurveQ(0, 0, 1, -7, 6)  # 5077a1
+    monkeypatch.setattr(ecq, "minimal_model", lambda _: (other, (1, 0, 0, 0)))
+    with pytest.raises(PostconditionFailed, match="-55"):
+        quadratic_twist(E, -55)
 
 
 def test_twist_c6_square_class():
