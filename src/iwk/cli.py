@@ -36,7 +36,12 @@ from .zpmod import (
     phi,
     phi_bruteforce,
 )
-from .iwasawa import DistinguishedPoly, ElementaryLambdaModule, growth_window_check
+from .iwasawa import (
+    DistinguishedPoly,
+    ElementaryLambdaModule,
+    growth_window_check,
+    window_levels,
+)
 from .growth import (
     WORKED_EXAMPLE_CURVE,
     IwasawaInvariants,
@@ -128,8 +133,7 @@ def parse_n_range(text: str) -> List[int]:
         levels = list(range(int(lo), int(hi) + 1))
     else:
         levels = [int(x) for x in lo.split(",") if x.strip()]
-    if not levels or len(set(levels)) < len(levels):
-        raise ValueError(f"n-range {text!r} must name at least one level, none twice")
+    window_levels(levels)
     return levels
 
 

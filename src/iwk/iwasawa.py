@@ -10,6 +10,7 @@ rank lambda, never asymptotics.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import comb
 from typing import List, Sequence, Tuple
@@ -46,6 +47,55 @@ def poly_mod_monic(a: Sequence[int], m: Sequence[int]) -> List[int]:
             for j in range(d):
                 r[len(r) - d + j] -= c * m[j]
     return r + [0] * (d - len(r))
+
+
+# ---------------------------------------------------------------------------
+# Truncated products mod (p^n, T^D) by Kronecker substitution (von zur
+# Gathen & Gerhard, Modern Computer Algebra, 8.4): coefficients in [0, p^n)
+# go into fixed-width slots of one int, one big-int multiply forms every
+# product coefficient in its own slot, and the low D slots are read back.
+
+# array type code per item size in bytes (1, 2, 4, 8 on common platforms)
+_ARRAY_CODES = sorted({array(c).itemsize: c for c in "QIHB"}.items())
+
+
+def _slot(mod: int, D: int) -> Tuple[int, str]:
+    """Bytes per slot for products of D-term series with coefficients in
+    [0, mod), and the array type code of that item size ('' if none).
+
+    A slot below T^D sums at most D products below mod^2, so
+    2*bitlen(mod - 1) + bitlen(D) bits hold it with no carry into the next
+    slot; the slot is that rounded up to whole bytes, and to an array item
+    when one is wide enough.
+    """
+    width = (2 * (mod - 1).bit_length() + D.bit_length() + 7) // 8
+    for size, code in _ARRAY_CODES:
+        if width <= size:
+            return size, code
+    return width, ""
+
+
+def _pack(a: Sequence[int], slot: Tuple[int, str]) -> int:
+    width, code = slot
+    if code:
+        return int.from_bytes(array(code, a).tobytes(), "little")
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in a), "little")
+
+
+def _unpack(z: int, D: int, slot: Tuple[int, str], mod: int) -> List[int]:
+    """The low D slots of a product of two packed series of at most D terms,
+    each reduced mod `mod`."""
+    width, code = slot
+    raw = z.to_bytes(2 * width * D, "little")[: width * D]
+    if code:
+        return [c % mod for c in array(code, raw)]
+    return [int.from_bytes(raw[i : i + width], "little") % mod for i in range(0, width * D, width)]
+
+
+def _mul_trunc(a: Sequence[int], b: Sequence[int], mod: int, D: int) -> List[int]:
+    """a*b mod (mod, T^D) for coefficient lists with entries in [0, mod)."""
+    slot = _slot(mod, D)
+    return _unpack(_pack(a[:D], slot) * _pack(b[:D], slot), D, slot, mod)
 
 
 def omega(m: int, p: int) -> List[int]:
@@ -143,27 +193,25 @@ class TruncatedSeries:
             raise ValueError("mixed primes")
         N = min(self.p_precision, other.p_precision)
         D = min(self.T_precision, other.T_precision)
-        out = [0] * D
-        for i, x in enumerate(self.coefficients[:D]):
-            if x:
-                for j, y in enumerate(other.coefficients[: D - i]):
-                    out[i + j] += x * y
-        return TruncatedSeries(self.p, N, D, tuple(out))
+        mod = self.p**N
+        a, b = ([c % mod for c in t.coefficients[:D]] for t in (self, other))
+        return TruncatedSeries(self.p, N, D, tuple(_mul_trunc(a, b, mod, D)))
 
     def inverse(self) -> "TruncatedSeries":
-        """Inverse of a unit series by back-substitution."""
+        """Inverse of a unit series by Newton doubling, v <- v(2 - s*v): if
+        s*v = 1 mod T^h then 1 - s*v(2 - s*v) = (1 - s*v)^2 = 0 mod T^2h."""
         mod = self.p**self.p_precision
         c0 = self.coefficients[0]
         if c0 % self.p == 0:
             raise ZeroDivisionError("constant term is not a unit")
-        inv0 = pow(c0, -1, mod)
         D = self.T_precision
-        out = [0] * D
-        out[0] = inv0
-        for k in range(1, D):
-            acc = sum(self.coefficients[j] * out[k - j] for j in range(1, k + 1))
-            out[k] = (-inv0 * acc) % mod
-        return TruncatedSeries(self.p, self.p_precision, D, tuple(out))
+        v = [pow(c0, -1, mod)]
+        while len(v) < D:
+            h = min(2 * len(v), D)
+            e = [-c % mod for c in _mul_trunc(self.coefficients, v, mod, h)]
+            e[0] = (e[0] + 2) % mod
+            v = _mul_trunc(v, e, mod, h)
+        return TruncatedSeries(self.p, self.p_precision, D, tuple(v))
 
 
 def series_from_poly(coeffs: Sequence[int], p: int, N: int, D: int) -> TruncatedSeries:
@@ -178,6 +226,11 @@ def weierstrass_prepare(
     mu is the minimal coefficient valuation, lambda the first unit
     coefficient of s/p^mu; the factorization is rebuilt level by level and
     verified by re-multiplication at the working precision p^(N-mu).
+
+    The input fixes f only mod p^min(N - mu, D // lambda): T^D is divisible
+    by p^(D // lambda) modulo f, so the terms past T^D that the truncation
+    drops move f by multiples of that power, and the digits of f above it
+    are those of this truncation's lift, not of the series.
     """
     p, N, D = s.p, s.p_precision, s.T_precision
     if s.is_zero():
@@ -197,29 +250,24 @@ def weierstrass_prepare(
     f = [0] * lam + [1]
     u = [sp[lam + k] if lam + k < D else 0 for k in range(D)]
 
-    def mul_mod(a, b, cap):
-        out = [0] * D
-        for i, x in enumerate(a[:D]):
-            if x % cap:
-                for j, y in enumerate(b[: D - i]):
-                    out[i + j] += x * y
-        return [c % cap for c in out]
-
-    # u moves only by multiples of p, so its inverse mod p is fixed
-    u_inv_p = list(TruncatedSeries(p, 1, D, tuple(u)).inverse().coefficients)
+    # each lift adds a multiple of p to u, so u mod p and its inverse are
+    # fixed and packed once; f and u stay below p^N2, which sizes their slot
+    slot, slot_p = _slot(mod, D), _slot(p, D)
+    u_p = _pack([c % p for c in u], slot_p)
+    u_inv_p = _pack(TruncatedSeries(p, 1, D, tuple(u)).inverse().coefficients, slot_p)
     for j in range(1, N2):
         pj = p**j
         cap = p ** (j + 1)
-        prod = mul_mod(f, u, cap)
-        r = [(sp[k] - prod[k]) % cap for k in range(D)]
+        prod = _unpack(_pack(f, slot) * _pack(u, slot), D, slot, cap)
+        r = [(x - y) % cap for x, y in zip(sp, prod)]
         if any(c % pj for c in r):
             raise PostconditionFailed("Weierstrass lift residue not divisible by p^j")
-        E = [(c // pj) % p for c in r]
-        w = mul_mod(E, u_inv_p, p)
-        a, b_quot = w[:lam], w[lam:] + [0] * lam
-        b = mul_mod(b_quot, u, p)
-        f = [(f[k] + pj * a[k]) % mod if k < lam else f[k] for k in range(len(f))]
-        u = [(u[k] + pj * b[k]) % mod for k in range(D)]
+        E = [c // pj for c in r]
+        w = _unpack(_pack(E, slot_p) * u_inv_p, D, slot_p, p)
+        a, b_quot = w[:lam], w[lam:]
+        b = _unpack(_pack(b_quot, slot_p) * u_p, D, slot_p, p)
+        f = [(c + pj * x) % mod for c, x in zip(f, a)] + [1]
+        u = [(c + pj * x) % mod for c, x in zip(u, b)]
 
     unit = TruncatedSeries(p, N2, D, tuple(u))
     fpoly = DistinguishedPoly(p, tuple(c % mod for c in f[:lam]))
@@ -284,23 +332,30 @@ class GrowthWindowReport:
     max_deviation: int
 
 
+def window_levels(levels: Sequence[int]) -> Tuple[int, ...]:
+    """The levels of a growth window in ascending order: at least one, none
+    repeated, or ValueError."""
+    out = tuple(sorted(levels))
+    if not out or len(set(out)) < len(out):
+        raise ValueError(f"n-range {list(out)} must name at least one level, none twice")
+    return out
+
+
 def growth_window_check(
     M: ElementaryLambdaModule, n_range: Sequence[int]
 ) -> GrowthWindowReport:
     """Measure coinvariant orders against mu*p^n + lambda*n over a window.
 
     Only reports what was measured: `bounded` records whether the deviation
-    sequence is constant on a tail of the window (length >= 2).
+    sequence is constant on a tail of the window of length 2, so a one-level
+    window is never bounded.
     """
     mu, lam = mu_lambda(M)
-    levels = tuple(sorted(n_range))
+    levels = window_levels(n_range)
     orders = tuple(coinvariant_order(M, n, n) for n in levels)
     deviations = tuple(
         o - (mu * M.p**n + lam * n) for o, n in zip(orders, levels)
     )
-    if len(deviations) < 2:
-        bounded = True
-    else:
-        bounded = deviations[-1] == deviations[-2]
-    max_dev = max((abs(x) for x in deviations), default=0)
+    bounded = len(deviations) >= 2 and deviations[-1] == deviations[-2]
+    max_dev = max(abs(x) for x in deviations)
     return GrowthWindowReport(levels, orders, deviations, bounded, max_dev)

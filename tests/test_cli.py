@@ -306,6 +306,12 @@ def test_coinv_command(capsys):
     for window in ("5..2", ",", "1,2,3,3"):
         assert main([*args, window]) == 1
         assert capsys.readouterr().out == ""
+    # one level has no tail of length 2
+    assert main([*args, "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["bounded_tail"] is False
+    assert main(["coinv", "--poly", "T^2", "--mu", "0", "--p", "3", "--n-range", "3"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert [row["order"] for row in data["table"]] == [5] and data["bounded_tail"] is False
 
 
 # ---------------------------------------------------------------------------

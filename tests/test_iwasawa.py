@@ -110,6 +110,88 @@ def test_weierstrass_random_round_trip():
         assert list(remul.coefficients) == sp
 
 
+def _prepared_prefix_case(rng):
+    """A seeded exact product p^mu * f * u with a long tail, and the
+    (N, D) and (N, 4D + 8) truncations of it."""
+    p = rng.choice([2, 3, 5, 7])
+    lam = rng.randint(1, 6)
+    D = rng.randint(lam + 1, 40)
+    N = rng.randint(2, 14)
+    mu = rng.randint(0, 1)
+    long_D = 4 * D + 8
+    mod = p**N
+    f = [p * rng.randrange(p ** (N - 1)) for _ in range(lam)] + [1]
+    u = [rng.randrange(mod) for _ in range(long_D)]
+    while u[0] % p == 0:
+        u[0] = rng.randrange(mod)
+    s = [p**mu * c % mod for c in poly_mul(f, u)[:long_D]]
+    short = TruncatedSeries(p, N, D, tuple(s[:D]))
+    return p, N, D, mu, lam, short, TruncatedSeries(p, N, long_D, tuple(s))
+
+
+def test_weierstrass_prefix_stable():
+    # the input fixes f only mod p^min(N - mu, D // lambda): its higher
+    # digits change when the T-precision grows
+    rng = random.Random(34)
+    tight = 0
+    for _ in range(600):
+        p, N, D, mu, lam, short, longer = _prepared_prefix_case(rng)
+        mu1, f1, _ = weierstrass_prepare(short)
+        mu2, f2, _ = weierstrass_prepare(longer)
+        assert (mu1, f1.degree) == (mu2, f2.degree) == (mu, lam)
+        k = min(N - mu, D // lam)
+        q = p**k
+        assert [c % q for c in f1.coefficients] == [c % q for c in f2.coefficients], (p, N, D, mu, lam)
+        if k < N - mu and [c % (q * p) for c in f1.coefficients] != [
+            c % (q * p) for c in f2.coefficients
+        ]:
+            tight += 1
+    assert tight > 0  # the bound is reached, not only respected
+
+
+def _schoolbook_product(a, b, mod, D):
+    out = [0] * D
+    for i, x in enumerate(a[:D]):
+        for j, y in enumerate(b[: D - i]):
+            out[i + j] += x * y
+    return tuple(c % mod for c in out)
+
+
+def _back_substitution_inverse(a, mod, D):
+    inv0 = pow(a[0], -1, mod)
+    out = [inv0] + [0] * (D - 1)
+    for k in range(1, D):
+        out[k] = -inv0 * sum(a[j] * out[k - j] for j in range(1, k + 1)) % mod
+    return tuple(out)
+
+
+def test_packed_product_and_inverse_against_schoolbook():
+    rng = random.Random(35)
+    for p in (2, 3, 5, 7):
+        for n in (1, 10, 30):
+            mod = p**n
+            for D in (1, 2, 31, 32, 33, 128):
+                random_coeffs = [rng.randrange(mod) for _ in range(D)]
+                cases = [
+                    ([0] * D, random_coeffs),
+                    ([mod - 1] * D, [mod - 1] * D),  # the largest carries
+                    (random_coeffs, [rng.randrange(mod) for _ in range(D)]),
+                ]
+                for a, b in cases:
+                    got = TruncatedSeries(p, n, D, tuple(a)).mul(TruncatedSeries(p, n, D, tuple(b)))
+                    assert got.coefficients == _schoolbook_product(a, b, mod, D), (p, n, D)
+                for a in ([mod - 1] * D, [1 + p * rng.randrange(mod)] + random_coeffs[1:]):
+                    s = TruncatedSeries(p, n, D, tuple(a))
+                    inv = s.inverse()
+                    assert inv.coefficients == _back_substitution_inverse(s.coefficients, mod, D)
+                    assert s.mul(inv).coefficients == (1,) + (0,) * (D - 1)
+    # mixed precisions: the product lives at the smaller of each
+    a = TruncatedSeries(3, 30, 40, tuple(3**30 - 1 for _ in range(40)))
+    b = TruncatedSeries(3, 2, 33, tuple(8 for _ in range(33)))
+    want = _schoolbook_product(a.coefficients, b.coefficients, 9, 33)
+    assert a.mul(b) == TruncatedSeries(3, 2, 33, want) == b.mul(a)
+
+
 def test_coinvariant_examples():
     T2 = ElementaryLambdaModule(3, 0, ((DistinguishedPoly(3, (0, 0)), 1),))
     assert coinvariant_order(T2, 1, 1) == 1
@@ -244,3 +326,17 @@ def test_growth_window_zero_module():
     rep = growth_window_check(ElementaryLambdaModule(3, 0), range(1, 4))
     assert rep.orders == (0, 0, 0) and rep.deviations == (0, 0, 0)
     assert rep.bounded
+
+
+def test_growth_window_levels_checked():
+    # an empty window or a repeated level is refused, as `iwk coinv` refuses
+    # it; one level has no tail of length 2 and is not bounded
+    Mp = ElementaryLambdaModule(3, 1)
+    for window in ([], range(5, 2), [1, 2, 3, 3], [2, 1, 2]):
+        with pytest.raises(ValueError, match="n-range"):
+            growth_window_check(Mp, window)
+    T2 = ElementaryLambdaModule(3, 0, ((DistinguishedPoly(3, (0, 0)), 1),))
+    for M in (Mp, T2, ElementaryLambdaModule(3, 0)):
+        rep = growth_window_check(M, [3])
+        assert rep.levels == (3,) and not rep.bounded
+    assert growth_window_check(T2, [4, 2, 3]).levels == (2, 3, 4)
