@@ -3,8 +3,9 @@
 Modules are held in structure-theorem normal form (free rank plus a
 descending list of exponents).  Fitting-ideal valuations come with three
 independent routes: the closed formula on normal forms, brute-force
-minimization over element tuples, and exact minor enumeration on a
-presentation matrix.
+minimization over element tuples (each element taken up to the diagonal
+unit automorphisms of the module it divides), and exact minor enumeration on
+a presentation matrix.
 """
 
 from __future__ import annotations
@@ -300,13 +301,14 @@ def fitting_from_minors(P: Presentation, i: int) -> FittingIdeal:
 def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
     """Minimum of ord_p #(M / <a_1,...,a_i>) over all i-tuples of elements.
 
-    Exhaustive and formula-free.  The minimum over the later elements
-    depends only on the invariants of M / <a_1>, so a_1 runs over every
-    element of the sum of Z/p^d in its own coordinates, the quotient's
-    invariants come from SNF of [diag(p^d) | a_1], and the search recurses
-    on them, memoized for this call.  The last element is the one of
-    largest order, found by taking every element's order as the largest
-    order of its coordinates.
+    Exhaustive up to automorphisms of M, and formula-free.  The minimum over
+    the later elements depends only on the invariants of M / <a_1>, and
+    scaling coordinate k of the sum of Z/p^{d_k} by a unit is an automorphism,
+    so M / <a> is isomorphic to M / <(p^{ord_p a_k})_k>.  a_1 thus runs over
+    one element per orbit, the vectors (p^{v_1}, ..., p^{v_s}) with
+    0 <= v_k <= d_k (p^{d_k} being 0): prod (d_k + 1) Smith forms of
+    [diag(p^d) | a_1] where every element would take p^(sum d).  The search
+    recurses on the quotient's invariants, memoized for this call.
     """
     if not M.is_torsion:
         raise ValueError("brute force requires a torsion module")
@@ -329,13 +331,6 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
     base_divs = smith_normal_form(diagonal_presentation(M, work_prec))
     base = tuple(min(int(v), work_prec) for v in base_divs[:s])
 
-    if i == 0:
-        return sum(base)
-
-    def element_orders(d: int) -> List[int]:
-        # ord_p of the order of each x in Z/p^d: d - ord_p(x), and 0 for x = 0
-        return [d - ord_p(x, p) if x else 0 for x in range(p**d)]
-
     def quotient(divs: Tuple[int, ...], a: Tuple[int, ...]) -> Tuple[int, ...]:
         # nonzero SNF divisors of [diag(p^d) | a], non-decreasing; all are
         # finite because every p^d is nonzero mod p^work_prec, and every
@@ -349,15 +344,11 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
     memo = {}
 
     def search(divs: Tuple[int, ...], r: int) -> int:
-        if not divs:
-            return 0
+        if r == 0:
+            return sum(divs)
         if (divs, r) not in memo:
-            if r == 1:
-                orders = [element_orders(d) for d in divs]
-                memo[divs, r] = sum(divs) - max(map(max, itertools.product(*orders)))
-            else:
-                elements = itertools.product(*(range(p**d) for d in divs))
-                memo[divs, r] = min(search(quotient(divs, a), r - 1) for a in elements)
+            reps = itertools.product(*([p**v for v in range(d)] + [0] for d in divs))
+            memo[divs, r] = min(search(quotient(divs, a), r - 1) for a in reps)
         return memo[divs, r]
 
     return search(base, i)

@@ -178,27 +178,109 @@ def test_bruteforce_examples():
     assert phi_bruteforce(FgZpModule(3, 0, (2, 2)), 1) == 2
 
 
-def test_bruteforce_visits_every_element_once(monkeypatch):
-    # at i = 2 every SNF call on [diag(p^d) | a] quotients by one element a
-    # of M; together they must be all of M, each exactly once
+def full_element_search(M, i):
+    """Reference brute force: a_1 runs over every element of M at every
+    level, the quotient's invariants come from SNF of [diag(p^d) | a_1], and
+    the last element is the one of largest order."""
+    p = M.p
+    prec = max(M.exponents, default=0) + 1
+    memo = {}
+
+    def quotient(divs, a):
+        rows = tuple(
+            tuple(p**d if j == k else 0 for j in range(len(divs))) + (x,)
+            for k, (d, x) in enumerate(zip(divs, a))
+        )
+        return tuple(v for v in smith_normal_form(Presentation(p, prec, rows)) if v)
+
+    def search(divs, r):
+        if not divs or r == 0:
+            return sum(divs)
+        if (divs, r) not in memo:
+            if r == 1:
+                orders = [[d - ord_p(x, p) if x else 0 for x in range(p**d)] for d in divs]
+                memo[divs, r] = sum(divs) - max(map(max, itertools.product(*orders)))
+            else:
+                elements = itertools.product(*(range(p**d) for d in divs))
+                memo[divs, r] = min(search(quotient(divs, a), r - 1) for a in elements)
+        return memo[divs, r]
+
+    return search(tuple(sorted(M.exponents)), i)
+
+
+def test_bruteforce_visits_one_element_per_orbit(monkeypatch):
+    # scaling coordinate k of the sum of Z/p^{d_k} by a unit is an
+    # automorphism, so a_1 needs one element per orbit: the valuation
+    # vectors (p^{v_k}) with 0 <= v_k <= d_k, p^{d_k} standing for 0
     import iwk.zpmod as zpmod
 
+    smith_divisors = zpmod._smith_divisors
     for M in (FgZpModule(7, 0, (3, 1)), FgZpModule(3, 0, (3, 2, 1))):
-        s = len(M.exponents)
-        seen = []
+        p, divs = M.p, tuple(sorted(M.exponents))
+        prec = max(divs) + 1
 
-        def recording_snf(A, p, N):
-            if len(A) == s and len(A[0]) == s + 1:
-                seen.append(tuple(row[-1] % row[k] for k, row in enumerate(A)))
-            return smith_divisors(A, p, N)
+        def valuations(column, diagonal):
+            # (v_k) if the column is the valuation vector (p^{v_k}) with
+            # p^{d_k} written as 0, else None
+            vs = tuple(ord_p(x, p) if x else ord_p(q, p) for x, q in zip(column, diagonal))
+            rep = [p**v if p**v < q else 0 for v, q in zip(vs, diagonal)]
+            return vs if column == rep else None
 
-        smith_divisors = zpmod._smith_divisors
-        monkeypatch.setattr(zpmod, "_smith_divisors", recording_snf)
-        assert phi_bruteforce(M, 2, budget=10**7) == phi(M, 2)
-        monkeypatch.undo()
-        elements = set(itertools.product(*(range(M.p**e) for e in sorted(M.exponents))))
-        assert len(seen) == len(elements) == M.p ** sum(M.exponents)
-        assert set(seen) == elements
+        for i in (1, 2):
+            calls = []
+
+            def recording_snf(A, p, N):
+                calls.append(([row[k] for k, row in enumerate(A)], [row[-1] for row in A]))
+                return smith_divisors(A, p, N)
+
+            monkeypatch.setattr(zpmod, "_smith_divisors", recording_snf)
+            assert phi_bruteforce(M, i, budget=10**7) == phi(M, i)
+            monkeypatch.undo()
+            assert full_element_search(M, i) == phi(M, i)
+            # every quotient at every level is by a valuation vector
+            assert all(valuations(col, diag) is not None for diag, col in calls[1:])
+            if i == 1:
+                # one SNF for M itself, then each valuation vector exactly once
+                seen = [valuations(col, diag) for diag, col in calls[1:]]
+                assert sorted(seen) == list(itertools.product(*(range(d + 1) for d in divs)))
+
+        # orbit of (p^{v_k}): prod phi(p^{d_k - v_k}) elements, together all of M
+        def totient(e):
+            return p**e - p ** (e - 1) if e else 1
+
+        orbit_size = {}
+        for vs in itertools.product(*(range(d + 1) for d in divs)):
+            size = 1
+            for d, v in zip(divs, vs):
+                size *= totient(d - v)
+            orbit_size[vs] = size
+        assert sum(orbit_size.values()) == p ** sum(divs)
+
+        # every element's quotient has its representative's Smith divisors
+        def quotient(a):
+            rows = [[p**d if j == k else 0 for j in range(len(divs))] + [x]
+                    for k, (d, x) in enumerate(zip(divs, a))]
+            return smith_divisors(rows, p, prec)
+
+        rep_quotient = {}
+        counts = dict.fromkeys(orbit_size, 0)
+        for a in itertools.product(*(range(p**d) for d in divs)):
+            vs = tuple(ord_p(x, p) if x else d for x, d in zip(a, divs))
+            counts[vs] += 1
+            if vs not in rep_quotient:
+                rep = tuple(p**v if v < d else 0 for v, d in zip(vs, divs))
+                rep_quotient[vs] = quotient(rep)
+            assert quotient(a) == rep_quotient[vs], (M, a)
+        assert counts == orbit_size
+
+
+def test_bruteforce_matches_full_element_search():
+    rng = random.Random(16)
+    for _ in range(200):
+        p = rng.choice([2, 3, 5, 7])
+        i = rng.choice([0, 1, 2, 3])
+        M = random_module(rng, p=p, max_size=[10**4, 10**4, 1000, 100][i])
+        assert phi_bruteforce(M, i) == full_element_search(M, i), (M, i)
 
 
 def test_bruteforce_budget():
