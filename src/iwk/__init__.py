@@ -14,7 +14,6 @@ from .errors import (
     BoundExceeded,
     BudgetExceeded,
     IwkError,
-    NotASubmodule,
     NotMinimalAtPrime,
     PostconditionFailed,
     PrecisionExhausted,
@@ -22,9 +21,7 @@ from .errors import (
 )
 from .padic import (
     INFINITY,
-    PadicInt,
     Valuation,
-    hensel_sqrt,
     kronecker_symbol,
     multiplicative_order,
     ord_p,
@@ -40,14 +37,12 @@ from .zpmod import (
     delta_decompose,
     diagonal_presentation,
     direct_sum,
-    dual,
     fitting_from_minors,
     fitting_ideal,
     module_from_presentation,
     phi,
     phi0_of_cokernel,
     phi_bruteforce,
-    quotient_by_submodule,
     smith_normal_form,
 )
 from .iwasawa import (
@@ -57,7 +52,6 @@ from .iwasawa import (
     coinvariant_order,
     growth_window_check,
     mu_lambda,
-    omega,
     weierstrass_prepare,
 )
 from .growth import (

@@ -98,32 +98,54 @@ def parse_module_literal(text: str) -> FgZpModule:
     return FgZpModule(p, r, exps)
 
 
-_TERM_RE = re.compile(r"^([+-]?\d*)\s*(?:\*?\s*T(?:\^(\d+))?)?$")
+_TERM_RE = re.compile(r"(\d+)?\s*(?:(\*)?\s*T(?:\s*\^\s*(\d+))?)?")
 
 
 def parse_poly_literal(text: str) -> List[int]:
-    """Integer polynomial in T, e.g. 'T^2+3*T+3'; ascending coefficient list."""
-    s = text.replace(" ", "")
-    if not s:
+    """Integer polynomial in T, e.g. 'T^2+3*T+3'; ascending coefficient list.
+
+    Terms are c, T, T^k, c*T or c*T^k, each after a sign (optional on the
+    first); spaces may separate tokens but never stand in for a sign.
+    """
+    if not text.strip():
         raise ValueError("empty polynomial")
-    terms = re.findall(r"[+-]?[^+-]+", s)
+    parts = re.split(r"([+-])", text)  # body, sign, body, sign, body, ...
+    terms = [("", parts[0])] if parts[0].strip() else []
+    terms += zip(parts[1::2], parts[2::2])
     coeffs: Dict[int, int] = {}
-    for term in terms:
-        m = _TERM_RE.match(term)
-        if not m:
-            raise ValueError(f"cannot parse term {term!r}")
-        coeff_s, exp_s = m.groups()
-        has_T = "T" in term
-        if coeff_s in ("", "+"):
-            c = 1
-        elif coeff_s == "-":
-            c = -1
-        else:
-            c = int(coeff_s)
-        k = int(exp_s) if exp_s else (1 if has_T else 0)
-        coeffs[k] = coeffs.get(k, 0) + c
+    for sign, body in terms:
+        m = _TERM_RE.fullmatch(body.strip())
+        if not body.strip() or not m or (m[2] and not m[1]):
+            raise ValueError(f"cannot parse term {(sign + body).strip()!r} in polynomial {text!r}")
+        c = int(m[1]) if m[1] else 1
+        k = int(m[3]) if m[3] else (1 if "T" in body else 0)
+        coeffs[k] = coeffs.get(k, 0) + (-c if sign == "-" else c)
     deg = max(coeffs)
     return [coeffs.get(k, 0) for k in range(deg + 1)]
+
+
+def _json_int(x, field: str) -> int:
+    """An integer of a presentation file, as a JSON integer or a decimal string."""
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        try:
+            return int(x)
+        except ValueError:
+            pass
+    raise ValueError(f"presentation file: {field} must be an integer, not {json.dumps(x)}")
+
+
+def read_presentation(path: str) -> Presentation:
+    """{"p": .., "precision": .., "matrix": [[..], ..]} from a JSON file."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict):
+        raise ValueError("presentation file: expected an object with p, precision and matrix")
+    rows = obj.get("matrix")
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ValueError("presentation file: matrix must be a list of lists of integers")
+    matrix = tuple(tuple(_json_int(x, "matrix entry") for x in row) for row in rows)
+    p, precision = (_json_int(obj.get(key), key) for key in ("p", "precision"))
+    return Presentation(p, precision, matrix)
 
 
 def parse_n_range(text: str) -> List[int]:
@@ -426,10 +448,7 @@ def _cmd_fitting(args) -> int:
                 checks["minors"] = {"skipped": str(e)}
         data["cross_checks"] = checks
     else:
-        with open(args.presentation_file) as fh:
-            obj = json.load(fh)
-        matrix = tuple(tuple(int(x) for x in row) for row in obj["matrix"])
-        P = Presentation(int(obj["p"]), int(obj["precision"]), matrix)
+        P = read_presentation(args.presentation_file)
         M = module_from_presentation(P)
         value = phi(M, i)
         data = {

@@ -10,11 +10,7 @@ class PrecisionExhausted(IwkError):
 
 
 class BudgetExceeded(IwkError):
-    """An enumeration or ring-size budget was exceeded."""
-
-
-class NotASubmodule(IwkError):
-    """The claimed submodule does not embed into the ambient module."""
+    """An enumeration budget (minors or brute-force element tuples) was exceeded."""
 
 
 class NotMinimalAtPrime(IwkError):

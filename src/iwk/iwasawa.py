@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import PostconditionFailed, PrecisionExhausted
@@ -96,15 +95,6 @@ def _mul_trunc(a: Sequence[int], b: Sequence[int], mod: int, D: int) -> List[int
     """a*b mod (mod, T^D) for coefficient lists with entries in [0, mod)."""
     slot = _slot(mod, D)
     return _unpack(_pack(a[:D], slot) * _pack(b[:D], slot), D, slot, mod)
-
-
-def omega(m: int, p: int) -> List[int]:
-    """(1+T)^{p^(m-1)} - 1 as an exact integer polynomial."""
-    _check_prime(p)
-    if m < 1:
-        raise ValueError("level m must be >= 1")
-    q = p ** (m - 1)
-    return [comb(q, k) if k else 0 for k in range(q + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Exact truncated p-adic arithmetic: valuations, residue symbols, Hensel lifts.
+"""Exact truncated p-adic arithmetic: valuations, residue symbols, Teichmuller lifts.
 
 Everything here works with plain Python integers; a p-adic integer at
 precision N is its canonical representative in [0, p^N).
@@ -10,8 +10,7 @@ import bisect
 import functools
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Union
 
 from .errors import IwkError, PostconditionFailed
 
@@ -188,56 +187,7 @@ def multiplicative_order(a: int, p: int) -> int:
     return f
 
 
-@dataclass(frozen=True)
-class PadicInt:
-    """Truncated p-adic integer: canonical residue in [0, p^precision)."""
-
-    p: int
-    precision: int
-    value: int
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.precision < 1:
-            raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "value", self.value % self.p**self.precision)
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.precision
-
-    def _coerce(self, other: "PadicInt") -> int:
-        if not isinstance(other, PadicInt):
-            raise TypeError("expected PadicInt")
-        if other.p != self.p:
-            raise ValueError("mixed primes")
-        return min(self.precision, other.precision)
-
-    def __add__(self, other: "PadicInt") -> "PadicInt":
-        n = self._coerce(other)
-        return PadicInt(self.p, n, self.value + other.value)
-
-    def __sub__(self, other: "PadicInt") -> "PadicInt":
-        n = self._coerce(other)
-        return PadicInt(self.p, n, self.value - other.value)
-
-    def __mul__(self, other: "PadicInt") -> "PadicInt":
-        n = self._coerce(other)
-        return PadicInt(self.p, n, self.value * other.value)
-
-    def __pow__(self, k: int) -> "PadicInt":
-        return PadicInt(self.p, self.precision, pow(self.value, k, self.modulus))
-
-    def inverse(self) -> "PadicInt":
-        if self.value % self.p == 0:
-            raise ZeroDivisionError("not a unit")
-        return PadicInt(self.p, self.precision, pow(self.value, -1, self.modulus))
-
-    def valuation(self) -> Valuation:
-        return ord_p(self.value, self.p) if self.value else INFINITY
-
-
-def teichmuller(a: int, p: int, N: int) -> PadicInt:
+def teichmuller(a: int, p: int, N: int) -> int:
     """The (p-1)-st root of unity in Z/p^N congruent to a mod p.
 
     Iterating x -> x^p converges to the fixed point; N-1 steps suffice.
@@ -251,61 +201,9 @@ def teichmuller(a: int, p: int, N: int) -> PadicInt:
         raise ValueError("precision must be >= 1")
     mod = p**N
     x = a % mod
-    for _ in range(N):
+    for _ in range(N - 1):
         x = pow(x, p, mod)
     if pow(x, p - 1, mod) != 1 or x % p != a % p:
         raise PostconditionFailed("Teichmuller lift is not a (p-1)-st root of unity lifting a")
-    return PadicInt(p, N, x)
-
-
-def _sqrt_mod_p(a: int, p: int) -> int:
-    """Tonelli-Shanks square root of a residue a mod an odd prime p."""
-    a %= p
-    if a == 0:
-        return 0
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while kronecker_symbol(z, p) != -1:
-        z += 1
-    c = pow(z, q, p)
-    x = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    m = s
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        x = x * b % p
-        t = t * b * b % p
-        c = b * b % p
-        m = i
     return x
 
-
-def hensel_sqrt(a: int, p: int, N: int) -> Optional[PadicInt]:
-    """Square root of a in Z/p^N for odd p, when a is a unit residue; else None."""
-    _check_prime(p)
-    if p == 2:
-        raise IwkError("hensel_sqrt requires an odd prime")
-    if N < 1:
-        raise ValueError("precision must be >= 1")
-    if a % p == 0 or kronecker_symbol(a, p) != 1:
-        return None
-    x = _sqrt_mod_p(a, p)
-    k = 1
-    while k < N:
-        k = min(2 * k, N)
-        mod = p**k
-        # Newton step: x <- x - (x^2 - a) / (2x)
-        x = (x - (x * x - a) * pow(2 * x, -1, mod)) % mod
-    if x * x % p**N != a % p**N:
-        raise PostconditionFailed("Hensel square root does not square to a")
-    return PadicInt(p, N, x)

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import BudgetExceeded, NotASubmodule, PrecisionExhausted
+from .errors import BudgetExceeded, PrecisionExhausted
 from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
 
 
@@ -105,7 +105,7 @@ class DeltaCharacter:
 
     def value(self, a: int, precision: int) -> int:
         """chi(a) as a residue mod p^precision."""
-        t = teichmuller(a % self.p, self.p, precision).value
+        t = teichmuller(a % self.p, self.p, precision)
         return pow(t, self.index, self.p**precision)
 
 
@@ -358,38 +358,11 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
 # Structural operations.
 
 
-def dual(M: FgZpModule) -> FgZpModule:
-    """Pontryagin dual of a finite module: same invariant factors."""
-    if not M.is_torsion:
-        raise ValueError("dual is defined here for torsion modules only")
-    return FgZpModule(M.p, 0, M.exponents)
-
-
 def direct_sum(M1: FgZpModule, M2: FgZpModule) -> FgZpModule:
     if M1.p != M2.p:
         raise ValueError("mixed primes")
     exps = tuple(sorted(M1.exponents + M2.exponents, reverse=True))
     return FgZpModule(M1.p, M1.free_rank + M2.free_rank, exps)
-
-
-def quotient_by_submodule(M: FgZpModule, N: FgZpModule) -> FgZpModule:
-    """Quotient by the canonical componentwise embedding of N into M.
-
-    N embeds iff, after aligning sorted invariants, each of N's exponents is
-    dominated by M's and the free ranks compare.
-    """
-    if M.p != N.p:
-        raise ValueError("mixed primes")
-    if N.free_rank > M.free_rank:
-        raise NotASubmodule("free rank too large")
-    em, en = list(M.exponents), list(N.exponents)
-    if len(en) > len(em):
-        raise NotASubmodule("too many cyclic factors")
-    en += [0] * (len(em) - len(en))
-    if any(f > e for e, f in zip(em, en)):
-        raise NotASubmodule("cyclic factor does not embed")
-    exps = tuple(sorted((e - f for e, f in zip(em, en) if e - f > 0), reverse=True))
-    return FgZpModule(M.p, M.free_rank - N.free_rank, exps)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,8 +55,13 @@ def test_parse_poly_literal():
     assert parse_poly_literal("T^3") == [0, 0, 0, 1]
     assert parse_poly_literal("5") == [5]
     assert parse_poly_literal("T^2-3T+9") == [9, -3, 1]
+    assert parse_poly_literal(" -T ^ 2 + 3 * T - 06 ") == [-6, 3, -1]
     with pytest.raises(ValueError):
         parse_poly_literal("")
+    # a stray sign, or a space standing in for one, names the bad term
+    for bad, term in (("T+3+", "'+'"), ("1--2", "'-'"), ("T^2 3", "'T^2 3'"), ("+", "'+'")):
+        with pytest.raises(ValueError, match=re.escape(f"cannot parse term {term} ")):
+            parse_poly_literal(bad)
 
 
 def test_parse_n_range():
@@ -279,6 +285,18 @@ def test_fitting_presentation_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["phi"] == 3
     assert data["module"]["exponents"] == [2, 1]
+    # malformed files exit 1 with a message naming the field, not a traceback
+    for obj, field in (
+        ({"p": 5, "precision": 4}, "matrix"),
+        ({"p": 5, "precision": 4, "matrix": 5}, "matrix"),
+        ([[5, 0], [0, 25]], "object"),
+        ({"p": 5, "precision": 4, "matrix": [[5, None], [0, 25]]}, "matrix entry"),
+    ):
+        path.write_text(json.dumps(obj))
+        assert main(["fitting", "--presentation-file", str(path), "--i", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("iwk: error: presentation file") and field in captured.err
 
 
 def test_growth_command(capsys):
@@ -446,3 +464,58 @@ def test_cli_subprocess_smoke():
     assert bad.returncode == 1
     usage = run("analyze", "--curve", "0,0,1,-7,6")  # missing --p
     assert usage.returncode == 1
+
+
+# ---------------------------------------------------------------------------
+# Library-only routes.
+
+# Exports of iwk that no `iwk` subcommand reaches, with why each stays.
+LIBRARY_ONLY = {
+    "weierstrass_prepare": "acceptance criterion 3; bench/ calls it",
+    "TruncatedSeries": "acceptance criterion 3; bench/ calls it",
+    "GroupRingPresentation": "acceptance criterion 8; bench/ calls it",
+    "DeltaCharacter": "acceptance criterion 8; bench/ calls it",
+    "all_characters": "acceptance criterion 8; bench/ calls it",
+    "delta_decompose": "acceptance criterion 8; bench/ calls it",
+    "teichmuller": "acceptance criterion 8, through DeltaCharacter; bench/ calls it",
+    "direct_sum": "acceptance criterion 2",
+    "phi_i_transfer": "to be wired to coinvariant structures (ROADMAP item 13)",
+}
+
+
+def test_library_only_exports_are_listed():
+    """Walk the AST from every cli._cmd_* handler, matching any name or
+    attribute against the top-level definitions of the package (so the walk
+    over-approximates what a subcommand reaches), and require the exports it
+    never reaches to be exactly LIBRARY_ONLY."""
+    import ast
+    import pathlib
+
+    pkg = pathlib.Path(cli.__file__).parent
+    defs = {}
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                    if isinstance(t, ast.Name):
+                        defs.setdefault(t.id, []).append(node)
+    todo = [name for name in vars(cli) if name.startswith("_cmd_")]
+    assert len(todo) == 6
+    reached = set(todo)
+    while todo:
+        for node in defs[todo.pop()]:
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                if name in defs and name not in reached:
+                    reached.add(name)
+                    todo.append(name)
+    init = ast.parse((pkg / "__init__.py").read_text())
+    exports = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert exports - reached == set(LIBRARY_ONLY)

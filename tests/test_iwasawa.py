@@ -1,4 +1,5 @@
 import random
+from math import comb
 
 import pytest
 
@@ -10,7 +11,6 @@ from iwk.iwasawa import (
     coinvariant_order,
     growth_window_check,
     mu_lambda,
-    omega,
     poly_mod_monic,
     poly_mul,
     series_from_poly,
@@ -18,6 +18,15 @@ from iwk.iwasawa import (
 )
 from iwk.padic import ord_p
 from iwk.zpmod import Presentation, phi0_of_cokernel
+
+
+def omega(m, p):
+    """(1+T)^{p^(m-1)} - 1 as an exact integer polynomial, for the whole-ring
+    oracles below."""
+    if m < 1:
+        raise ValueError("level m must be >= 1")
+    q = p ** (m - 1)
+    return [comb(q, k) if k else 0 for k in range(q + 1)]
 
 
 def test_omega_examples():
