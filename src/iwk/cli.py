@@ -58,6 +58,7 @@ from .ecq import (
     reduction_summary,
 )
 from .conditions import (
+    DEFAULT_PRIME_BOUND,
     check_c1_str,
     check_c2,
     check_c2_sufficient,
@@ -86,14 +87,12 @@ def parse_curve(text: str) -> EllipticCurveQ:
 
 
 def parse_module_literal(text: str) -> FgZpModule:
-    """'p:e1,e2,...#r' with both the exponent list and '#r' optional."""
-    m = re.fullmatch(r"(\d+):([\d,\s]*)(?:#(\d+))?", text.strip())
+    """'p:e1,e2,...#r', both parts optional; every comma separates two exponents."""
+    m = re.fullmatch(r"(\d+):\s*(\d+(?:\s*,\s*\d+)*)?\s*(?:#(\d+))?", text.strip())
     if not m:
         raise ValueError("module literal must look like 'p:e1,e2#r'")
     p = int(m.group(1))
-    exps = tuple(
-        sorted((int(x) for x in m.group(2).split(",") if x.strip()), reverse=True)
-    )
+    exps = tuple(sorted(map(int, m.group(2).split(",")), reverse=True)) if m.group(2) else ()
     r = int(m.group(3)) if m.group(3) else 0
     return FgZpModule(p, r, exps)
 
@@ -305,7 +304,7 @@ class AnalysisReport:
 def analyze_curve(
     E: EllipticCurveQ,
     p: int,
-    ap_bound: int = 10**4,
+    ap_bound: int = DEFAULT_PRIME_BOUND,
     mu: Optional[int] = None,
     lam: Optional[int] = None,
     rank: Optional[int] = None,
@@ -549,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="full condition report for a pair (E, p)")
     sp.add_argument("--curve", required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--ap-bound", type=int, default=10**4, dest="ap_bound")
+    sp.add_argument("--ap-bound", type=int, default=DEFAULT_PRIME_BOUND, dest="ap_bound")
     sp.add_argument("--rank", type=int, default=None)
     sp.add_argument("--mu", type=int, default=None)
     sp.add_argument("--lambda", type=int, default=None, dest="lam")

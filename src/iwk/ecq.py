@@ -245,9 +245,9 @@ def minimal_model(
     and (1, 0, 0, 0), so nothing rebuilds it.
     """
     c4, c6 = E.c4, E.c6
-    # ell^4 | c4 and ell^6 | c6 wherever the model is not minimal
+    # a model is not minimal at ell only if ell^12 | Delta: E's primes suffice
     u = 1
-    for ell in factorint(math.gcd(c4, c6)):
+    for ell in E.bad_primes:
         u *= ell ** _minimality_exponent(c4, c6, E.discriminant, ell)
     E_min = _curve_from_c4c6(c4 // u**4, c6 // u**6)
     # solve a1, a2, a3 of `transformed` for the unique (r, s, t) at this u
@@ -262,6 +262,10 @@ def minimal_model(
         raise PostconditionFailed("minimal-model transform verification failed")
     if E.discriminant % E_min.discriminant:
         raise PostconditionFailed("minimal discriminant does not divide the input's")
+    # Delta_min | Delta, so its primes are among E's
+    E_min.__dict__["bad_primes"] = tuple(
+        ell for ell in E.bad_primes if E_min.discriminant % ell == 0
+    )
     E_min.__dict__["minimal"] = (E_min, (1, 0, 0, 0))
     return E_min, (u, r, s, t)
 
@@ -322,21 +326,21 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
 # Quadratic twists.
 
 
-def is_squarefree(d: int) -> bool:
-    return d != 0 and all(e == 1 for e in factorint(abs(d)).values())
-
-
 def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
-    """Twist by squarefree d through the short model, re-minimalized; it keeps E's j."""
-    if not is_squarefree(d):
+    """Twist by squarefree d through the short model, re-minimalized; it keeps E's j.
+
+    Only d is factored: the short model's Delta, 6^12 d^6 Delta_E, has primes 2, 3, E's, d's.
+    """
+    d_primes = factorint(abs(d)) if d else {}
+    if d == 0 or any(e > 1 for e in d_primes.values()):
         raise ValueError("twist parameter must be squarefree and nonzero")
-    A = -27 * E.c4
-    B = -54 * E.c6
-    twisted = EllipticCurveQ(0, 0, 0, A * d * d, B * d**3)
+    twisted = EllipticCurveQ(0, 0, 0, -27 * E.c4 * d * d, -54 * E.c6 * d**3)
+    if twisted.discriminant != 6**12 * d**6 * E.discriminant:
+        raise PostconditionFailed(f"the twist by {d} has the wrong discriminant")
+    twisted.__dict__["bad_primes"] = tuple(sorted({2, 3, *E.bad_primes, *d_primes}))
     E_tw, _ = minimal_model(twisted)
     if E_tw.j_invariant != E.j_invariant:
         raise PostconditionFailed(f"the twist by {d} changed the j-invariant")
-    E_tw.__dict__["j_denominator_primes"] = E.j_denominator_primes
     return E_tw
 
 

@@ -334,7 +334,7 @@ def window_levels(levels: Sequence[int]) -> Tuple[int, ...]:
 def growth_window_check(
     M: ElementaryLambdaModule, n_range: Sequence[int]
 ) -> GrowthWindowReport:
-    """Measure coinvariant orders against mu*p^n + lambda*n over a window.
+    """Measure the order at each level n, layer n - 1, against mu*p^(n-1) + lambda*(n-1).
 
     Only reports what was measured: `bounded` records whether the deviation
     sequence is constant on a tail of the window of length 2, so a one-level
@@ -344,7 +344,7 @@ def growth_window_check(
     levels = window_levels(n_range)
     orders = tuple(coinvariant_order(M, n, n) for n in levels)
     deviations = tuple(
-        o - (mu * M.p**n + lam * n) for o, n in zip(orders, levels)
+        o - (mu * M.p ** (n - 1) + lam * (n - 1)) for o, n in zip(orders, levels)
     )
     bounded = len(deviations) >= 2 and deviations[-1] == deviations[-2]
     max_dev = max(abs(x) for x in deviations)

@@ -99,10 +99,6 @@ class DeltaCharacter:
         if not 0 <= self.index <= self.p - 2:
             raise ValueError("character index out of range")
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.index == 0
-
     def value(self, a: int, precision: int) -> int:
         """chi(a) as a residue mod p^precision."""
         t = teichmuller(a % self.p, self.p, precision)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import os
 import random
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS
-from iwk import cli, ecq
+from iwk import cli, ecq, twist
 from iwk.cli import (
     CurveRecord,
     analyze_curve,
@@ -45,8 +46,11 @@ def test_parse_module_literal():
     assert parse_module_literal("7:#2") == FgZpModule(7, 2)
     assert parse_module_literal("5:") == FgZpModule(5)
     assert parse_module_literal("5:1,3,2") == FgZpModule(5, 0, (3, 2, 1))
-    with pytest.raises(ValueError):
-        parse_module_literal("nonsense")
+    assert parse_module_literal(" 7: 3, 1 ") == FgZpModule(7, 0, (3, 1))
+    # an empty exponent, or a space standing in for a comma, is refused
+    for bad in ("nonsense", "5:2,,1", "5:,2", "5:2,", "5:,", "5: 2 1"):
+        with pytest.raises(ValueError, match=re.escape("'p:e1,e2#r'")):
+            parse_module_literal(bad)
 
 
 def test_parse_poly_literal():
@@ -190,10 +194,24 @@ def test_each_curve_factored_once(monkeypatch):
     assert E_tw.j_invariant.denominator == 25
     assert factored.count(6400) == 1 and 25 not in factored
 
-    # the golden run: each standard curve's |Delta_min| once, whatever the
-    # number of primes p it is analyzed at, and no twisted curve's at all
+    # on a model of 20a1 scaled by u = 2 only the input's |Delta| is factored:
+    # the minimal model takes its primes from it, not from gcd(c4, c6)
     factored.clear()
-    twists = []
+    E = EllipticCurveQ(0, 1, 0, 4, 4).transformed(Fraction(1, 2), 1, -1, 2)
+    analyze_curve(E, 3)
+    assert E.minimal[0].ainvs == (0, 1, 0, 4, 4) and E.minimal[1][0] == 2
+    assert factored == [2**12 * 6400]
+    # and the twist factors d alone: the short model's primes are 2, 3, E's
+    # and d's, and its minimal model inherits them
+    factored.clear()
+    E_tw, cert = construct_c2_twist(E, 3)
+    assert factored == [abs(cert.d)] and E_tw.j_invariant.denominator == 25
+
+    # the golden run: each standard curve's |Delta_min| once, whatever the
+    # number of primes p it is analyzed at, and each twist's |d|; no
+    # gcd(c4, c6) and no twisted curve's discriminant
+    factored.clear()
+    expected = set()
     for label, a in CORPUS:
         E = EllipticCurveQ(*a)
         for p in (3, 5, 7, 11, 13):
@@ -201,9 +219,33 @@ def test_each_curve_factored_once(monkeypatch):
                 continue
             report = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
             if report.data["verdicts"]["C2"]["status"] == "FAILS":
-                twists.append(construct_c2_twist(E, p)[0])
+                expected.add(abs(construct_c2_twist(E, p)[1].d))
         assert factored.count(abs(E.minimal[0].discriminant)) == 1, label
-    assert twists and not {abs(E_tw.discriminant) for E_tw in twists} & set(factored)
+        expected.add(abs(E.minimal[0].discriminant))
+    assert len(expected) > len(CORPUS) and set(factored) == expected
+
+
+def test_bench_tracer_installs():
+    # bench/tracer.py binds iwk names with getattr, so a refactor that drops
+    # one of them breaks traced benchmark runs; install it and trace 20a1
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("iwk_bench_tracer", path)
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    factor = ecq.factorint
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        with tracer.into("corpus"):
+            E = EllipticCurveQ(0, 1, 0, 4, 4)
+            cli.analyze_curve(E, 3)
+            twist.construct_c2_twist(E, 3)
+    finally:
+        tracer.uninstall()
+    calls = tracer.tables["corpus"].calls
+    for span in ("ecq.factorint", "conditions.check_c1_str", "twist.construct_c2_twist"):
+        assert calls[span] >= 1, span
+    assert ecq.factorint is factor
 
 
 def test_minimal_model_built_once(monkeypatch):
@@ -275,6 +317,10 @@ def test_fitting_command(capsys):
     assert main(["fitting", "--module", "5:", "--i", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["phi"] == 0
 
+    assert main(["fitting", "--module", "5:2,,1", "--i", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "'p:e1,e2#r'" in err
+
 
 def test_fitting_presentation_file(tmp_path, capsys):
     path = tmp_path / "pres.json"
@@ -320,7 +366,10 @@ def test_coinv_command(capsys):
     # an empty window or a repeated level is an input error, not a verdict
     args = ["coinv", "--poly", "1", "--mu", "1", "--p", "3", "--n-range"]
     assert main([*args, "1,2,3"]) == 0
-    assert json.loads(capsys.readouterr().out)["bounded_tail"] is False
+    data = json.loads(capsys.readouterr().out)
+    # Lambda/(3) is exact at layer n - 1: orders 1, 3, 9, deviations 0
+    assert [(row["order"], row["deviation"]) for row in data["table"]] == [(1, 0), (3, 0), (9, 0)]
+    assert data["bounded_tail"] is True and data["max_deviation"] == 0
     for window in ("5..2", ",", "1,2,3,3"):
         assert main([*args, window]) == 1
         assert capsys.readouterr().out == ""

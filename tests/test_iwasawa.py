@@ -318,17 +318,20 @@ def test_coinvariant_against_ring_snf():
 def test_growth_window_T2():
     T2 = ElementaryLambdaModule(3, 0, ((DistinguishedPoly(3, (0, 0)), 1),))
     rep = growth_window_check(T2, range(1, 6))
-    assert rep.deviations == (-1, -1, -1, -1, -1)
+    # level n is layer n - 1: orders 2n - 1 against lambda*(n - 1) = 2n - 2
+    assert rep.orders == (1, 3, 5, 7, 9)
+    assert rep.deviations == (1, 1, 1, 1, 1)
     assert rep.bounded and rep.max_deviation == 1
 
 
 def test_growth_window_mu_reported_not_asserted():
-    # mu > 0: the check only measures; the deviation need not stabilize
+    # mu > 0: Lambda/(3) has order p^(n-1) at level n, exactly its mu part
+    # at layer n - 1, so the deviations vanish
     Mp = ElementaryLambdaModule(3, 1)
     rep = growth_window_check(Mp, range(1, 5))
     assert rep.orders == (1, 3, 9, 27)
-    assert rep.deviations == tuple(3 ** (n - 1) - 3**n for n in range(1, 5))
-    assert not rep.bounded
+    assert rep.deviations == (0, 0, 0, 0)
+    assert rep.bounded and rep.max_deviation == 0
 
 
 def test_growth_window_zero_module():
