@@ -38,7 +38,6 @@ from .zpmod import (
     diagonal_presentation,
     direct_sum,
     fitting_from_minors,
-    fitting_ideal,
     module_from_presentation,
     phi,
     phi0_of_cokernel,
@@ -51,7 +50,6 @@ from .iwasawa import (
     TruncatedSeries,
     coinvariant_order,
     growth_window_check,
-    mu_lambda,
     weierstrass_prepare,
 )
 from .growth import (
@@ -62,7 +60,6 @@ from .growth import (
     compare,
     doubling_discrepancy_note,
     mordell_weil_bound,
-    phi_i_transfer,
 )
 from .ecq import (
     EllipticCurveQ,
@@ -74,7 +71,6 @@ from .ecq import (
     canonical_minimal,
     count_points_ap,
     minimal_model,
-    potentially_multiplicative_primes,
     quadratic_twist,
     reduction_type,
     torsion_in_cyclotomic_local,

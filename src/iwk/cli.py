@@ -54,6 +54,7 @@ from .ecq import (
     EllipticCurveQ,
     TraceRecord,
     canonical_minimal,
+    check_prime_bound,
     count_points_ap,
     reduction_summary,
 )
@@ -119,7 +120,7 @@ def parse_poly_literal(text: str) -> List[int]:
         c = int(m[1]) if m[1] else 1
         k = int(m[3]) if m[3] else (1 if "T" in body else 0)
         coeffs[k] = coeffs.get(k, 0) + (-c if sign == "-" else c)
-    deg = max(coeffs)
+    deg = max((k for k, c in coeffs.items() if c), default=0)  # zero top terms dropped
     return [coeffs.get(k, 0) for k in range(deg + 1)]
 
 
@@ -265,6 +266,7 @@ def _write_cache(E_min: EllipticCurveQ, path: str, records: Dict[int, TraceRecor
 
 def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
     """Compute and persist a_ell for all good odd ell <= bound; idempotent."""
+    check_prime_bound(bound)
     E_min = canonical_minimal(E)
     path = _cache_path(E_min)
     known = _load_cache(E_min, path)
@@ -288,9 +290,6 @@ def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
 class AnalysisReport:
     data: Dict
 
-    def to_json(self) -> str:
-        return json.dumps(self.data, sort_keys=True, indent=2)
-
     @property
     def exit_code(self) -> int:
         statuses = [v["status"] for v in self.data["verdicts"].values()]
@@ -311,14 +310,15 @@ def analyze_curve(
     source: str = "",
     label: str = "",
 ) -> AnalysisReport:
-    E_min, (u, _, _, _) = E.minimal
-    # the verdicts reject a p that is not an odd prime before Delta is factored
+    # check_c1_str rejects a p that is not an odd prime, and a prime bound
+    # out of range, before E.minimal factors Delta
     verdicts = {
-        "C1_str": check_c1_str(E_min, p, ap_bound).to_json_dict(),
-        "C2": check_c2(E_min, p).to_json_dict(),
-        "C2_sufficient": check_c2_sufficient(E_min, p).to_json_dict(),
-        "C3": check_c3(E_min).to_json_dict(),
+        "C1_str": check_c1_str(E, p, ap_bound).to_json_dict(),
+        "C2": check_c2(E, p).to_json_dict(),
+        "C2_sufficient": check_c2_sufficient(E, p).to_json_dict(),
+        "C3": check_c3(E).to_json_dict(),
     }
+    E_min, (u, _, _, _) = E.minimal
     reductions = {
         str(ell): {
             "kind": info.kind.value,
@@ -329,8 +329,6 @@ def analyze_curve(
         }
         for ell, info in reduction_summary(E_min).items()
     }
-    for v in verdicts.values():
-        v.pop("condition", None)
     data: Dict = {
         "curve": {
             "label": label,
@@ -423,29 +421,18 @@ def _cmd_twist(args) -> int:
 
 def _cmd_fitting(args) -> int:
     i = args.i
+    checks: Dict = {}
     if args.module is not None:
         M = parse_module_literal(args.module)
         value = phi(M, i)
-        data: Dict = {"module": args.module, "i": i, "phi": _fmt_val(value)}
-        checks = {}
-        if M.is_torsion and M.exponents:
+        data: Dict = {"module": args.module}
+        P = diagonal_presentation(M) if M.is_torsion and M.exponents else None
+        if P is not None:
             try:
                 bf = phi_bruteforce(M, i, budget=args.budget)
-                checks["bruteforce"] = {
-                    "value": _fmt_val(bf),
-                    "agrees": bf == value,
-                }
+                checks["bruteforce"] = {"value": _fmt_val(bf), "agrees": bf == value}
             except BudgetExceeded as e:
                 checks["bruteforce"] = {"skipped": str(e)}
-            try:
-                mv = fitting_from_minors(diagonal_presentation(M), i)
-                checks["minors"] = {
-                    "value": _fmt_val(mv.generator_valuation),
-                    "agrees": mv.generator_valuation == value,
-                }
-            except (BudgetExceeded, PrecisionExhausted) as e:
-                checks["minors"] = {"skipped": str(e)}
-        data["cross_checks"] = checks
     else:
         P = read_presentation(args.presentation_file)
         M = module_from_presentation(P)
@@ -453,20 +440,14 @@ def _cmd_fitting(args) -> int:
         data = {
             "presentation_file": args.presentation_file,
             "module": {"p": M.p, "free_rank": M.free_rank, "exponents": list(M.exponents)},
-            "i": i,
-            "phi": _fmt_val(value),
         }
-        if P.generators <= 6:
-            try:
-                mv = fitting_from_minors(P, i)
-                data["cross_checks"] = {
-                    "minors": {
-                        "value": _fmt_val(mv.generator_valuation),
-                        "agrees": mv.generator_valuation == value,
-                    }
-                }
-            except PrecisionExhausted as e:
-                data["cross_checks"] = {"minors": {"skipped": str(e)}}
+    if P is not None:
+        try:
+            mv = fitting_from_minors(P, i).generator_valuation
+            checks["minors"] = {"value": _fmt_val(mv), "agrees": mv == value}
+        except (BudgetExceeded, PrecisionExhausted) as e:
+            checks["minors"] = {"skipped": str(e)}
+    data.update(i=i, phi=_fmt_val(value), cross_checks=checks)
     _emit(data, args.format)
     return 0
 

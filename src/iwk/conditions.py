@@ -28,8 +28,8 @@ from .ecq import (
     EllipticCurveQ,
     ReductionKind,
     canonical_minimal,
+    check_prime_bound,
     count_points_ap,
-    potentially_multiplicative_primes,
     reduction_type,
     torsion_in_cyclotomic_local,
 )
@@ -54,13 +54,8 @@ class Verdict:
         if self.status == Status.INCONCLUSIVE and not self.parameters:
             raise ValueError("an INCONCLUSIVE verdict must carry its budget")
 
-    @property
-    def holds(self) -> bool:
-        return self.status == Status.HOLDS
-
     def to_json_dict(self) -> dict:
         return {
-            "condition": self.condition,
             "status": self.status.value,
             "witnesses": [{"prime": p, "detail": d} for p, d in self.witnesses],
             "budget": {k: v for k, v in sorted(self.parameters.items())},
@@ -85,7 +80,7 @@ def check_c2(E: EllipticCurveQ, p: int) -> Verdict:
     local cyclotomic tower."""
     E_min = _require_good_odd_p(E, p)
     offenders: List[Tuple[int, str]] = []
-    primes = potentially_multiplicative_primes(E_min)
+    primes = list(E_min.j_denominator_primes)
     for ell in primes:
         if torsion_in_cyclotomic_local(E_min, ell, p):
             info = reduction_type(E_min, ell)
@@ -106,7 +101,7 @@ def check_c2_sufficient(E: EllipticCurveQ, p: int) -> Verdict:
     """Sufficient-only criterion: every potentially multiplicative prime is
     non-split multiplicative, p = 3 mod 4, and -p is a residue there."""
     E_min = _require_good_odd_p(E, p)
-    primes = potentially_multiplicative_primes(E_min)
+    primes = list(E_min.j_denominator_primes)
     params = {"primes_checked": primes}
     if not primes:
         return Verdict("C2-sufficient", Status.HOLDS, (), params)
@@ -254,8 +249,9 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     a class open.  A CM curve then FAILS: its image lies in the normalizer
     of the Cartan subgroup (O/pO)^x, split when (D/p) = 1 and nonsplit when
     (D/p) = -1, of order at most 2(p^2 - 1).  Only a non-CM curve's scan
-    goes on to prime_bound.
+    goes on to prime_bound, which must lie in [0, AP_PRIME_BOUND].
     """
+    check_prime_bound(prime_bound)
     E_min = _require_good_odd_p(E, p)
     params: Dict = {"prime_bound": prime_bound}
 

@@ -30,6 +30,15 @@ from .padic import Valuation, factorint, kronecker_symbol, multiplicative_order,
 AP_PRIME_BOUND = 10**6
 
 
+def check_prime_bound(bound: int) -> None:
+    """Refuse a bound on the primes to count points at before any is
+    counted: ValueError below 0, BoundExceeded above AP_PRIME_BOUND."""
+    if bound < 0:
+        raise ValueError(f"prime bound {bound} must be >= 0")
+    if bound > AP_PRIME_BOUND:
+        raise BoundExceeded(f"prime bound {bound} exceeds {AP_PRIME_BOUND}")
+
+
 @dataclass(frozen=True)
 class EllipticCurveQ:
     """Integral Weierstrass model [a1, a2, a3, a4, a6] with cached invariants."""
@@ -270,10 +279,6 @@ def minimal_model(
     return E_min, (u, r, s, t)
 
 
-def is_minimal_at(E: EllipticCurveQ, ell: int) -> bool:
-    return _minimality_exponent(E.c4, E.c6, E.discriminant, ell) == 0
-
-
 # ---------------------------------------------------------------------------
 # Reduction classification.
 
@@ -306,7 +311,7 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
     of -c6, and twisting by it gives split multiplicative reduction.  So a
     multiplicative fiber is split iff gamma is a square.
     """
-    if not is_minimal_at(E, ell):
+    if _minimality_exponent(E.c4, E.c6, E.discriminant, ell):
         raise NotMinimalAtPrime(f"model is not minimal at {ell}")
     if ord_p(E.discriminant, ell) == 0:
         return ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
@@ -525,11 +530,6 @@ def torsion_in_cyclotomic_local(E: EllipticCurveQ, ell: int, p: int) -> bool:
     if gamma == TwistClass.UNIT_NONSQUARE:
         return multiplicative_order(ell, p) % 2 == 0
     return False
-
-
-def potentially_multiplicative_primes(E: EllipticCurveQ) -> List[int]:
-    """Primes where the j-invariant has negative valuation."""
-    return list(E.j_denominator_primes)
 
 
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:

@@ -9,10 +9,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .padic import _check_prime
-from .zpmod import FgZpModule, direct_sum, phi
 
 
 class Comparison(enum.Enum):
@@ -103,12 +102,6 @@ def doubling_discrepancy_note(p: int, mu: int, lam: int) -> Optional[str]:
     return None
 
 
-def euler_phi_prime_power(p: int, m: int) -> int:
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    return 1 if m == 0 else (p - 1) * p ** (m - 1)
-
-
 def mordell_weil_bound(r_m: int, m: int, p: int) -> Tuple[int, GrowthClass]:
     """Lower bound lambda >= r_m - phi(p^m) and the induced linear growth class.
 
@@ -117,47 +110,10 @@ def mordell_weil_bound(r_m: int, m: int, p: int) -> Tuple[int, GrowthClass]:
     _check_prime(p)
     if r_m < 0 or m < 0:
         raise ValueError("rank and level must be >= 0")
-    lambda_lower = r_m - euler_phi_prime_power(p, m)
+    lambda_lower = r_m - (1 if m == 0 else (p - 1) * p ** (m - 1))
     clamped = max(lambda_lower, 0)
     label = f"2*max(r_{m} - phi(p^{m}), 0)*n lower bound"
     if lambda_lower < 0:
         label += " (vacuous: negative coefficient clamped to 0)"
     return lambda_lower, GrowthClass(p, Fraction(0), Fraction(2 * clamped), label)
 
-
-@dataclass(frozen=True)
-class TransferReport:
-    i: int
-    bound: int
-    deviations: Tuple[int, ...] = ()
-    failures: Tuple[int, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def phi_i_transfer(
-    selmer_side: Sequence[FgZpModule],
-    class_side: Sequence[FgZpModule],
-    i: int,
-    bound: int,
-) -> TransferReport:
-    """Check |Phi_i(selmer[n] doubled) - Phi_i(class[n])| <= bound per level.
-
-    Synthetic-data validation of bounded-kernel transfer; failures are
-    reported, never raised.
-    """
-    if len(selmer_side) != len(class_side):
-        raise ValueError("windows must have equal length")
-    deviations: List[int] = []
-    failures: List[int] = []
-    for n, (S, A) in enumerate(zip(selmer_side, class_side)):
-        if not (S.is_torsion and A.is_torsion):
-            raise ValueError("transfer check requires torsion modules")
-        doubled = direct_sum(S, S)
-        d = phi(doubled, i) - phi(A, i)
-        deviations.append(int(d))
-        if abs(d) > bound:
-            failures.append(n)
-    return TransferReport(i, bound, tuple(deviations), tuple(failures))

@@ -153,10 +153,6 @@ class ElementaryLambdaModule:
         return g
 
 
-def mu_lambda(M: ElementaryLambdaModule) -> Tuple[int, int]:
-    return M.mu, M.lambda_invariant
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Power series mod (p^N, T^D) with canonical coefficients."""
@@ -202,10 +198,6 @@ class TruncatedSeries:
             e[0] = (e[0] + 2) % mod
             v = _mul_trunc(v, e, mod, h)
         return TruncatedSeries(self.p, self.p_precision, D, tuple(v))
-
-
-def series_from_poly(coeffs: Sequence[int], p: int, N: int, D: int) -> TruncatedSeries:
-    return TruncatedSeries(p, N, D, tuple(coeffs))
 
 
 def weierstrass_prepare(
@@ -263,7 +255,7 @@ def weierstrass_prepare(
     fpoly = DistinguishedPoly(p, tuple(c % mod for c in f[:lam]))
 
     # mandatory round-trip at working precision
-    check = series_from_poly(fpoly.as_list(), p, N2, D).mul(unit)
+    check = TruncatedSeries(p, N2, D, tuple(fpoly.as_list())).mul(unit)
     if list(check.coefficients) != sp:
         raise PostconditionFailed("re-multiplication check failed")
     return mu, fpoly, unit
@@ -340,7 +332,7 @@ def growth_window_check(
     sequence is constant on a tail of the window of length 2, so a one-level
     window is never bounded.
     """
-    mu, lam = mu_lambda(M)
+    mu, lam = M.mu, M.lambda_invariant
     levels = window_levels(n_range)
     orders = tuple(coinvariant_order(M, n, n) for n in levels)
     deviations = tuple(

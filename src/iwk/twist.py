@@ -105,7 +105,7 @@ def construct_c2_twist(
     E_min = _require_good_odd_p(E, p)
     verdict = check_c2(E_min, p)
     S = tuple(verdict.parameters["primes_checked"])
-    if verdict.holds:
+    if verdict.status == Status.HOLDS:
         cert = TwistCertificate(p=p, S=S, S0=(), S1=(), N1_star=1, d=1, mod8_case="trivial")
         cert.validate()
         return E_min, cert

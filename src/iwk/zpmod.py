@@ -11,12 +11,17 @@ a presentation matrix.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, PrecisionExhausted
 from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
 
+# The most (n-i) x (n-i) minors fitting_from_minors enumerates: each is an
+# exact Bareiss determinant, so this bounds the route's time as the
+# generator cap alone does not (6 x 30 at i = 0 has 593,775 minors).
+MINOR_BUDGET = 10**4
 
 @dataclass(frozen=True)
 class FgZpModule:
@@ -40,9 +45,6 @@ class FgZpModule:
     @property
     def is_torsion(self) -> bool:
         return self.free_rank == 0
-
-    def torsion_order_valuation(self) -> int:
-        return sum(self.exponents)
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,6 @@ class FittingIdeal:
     """Ideal p^v Z_p; v = 0 is the unit ideal, INFINITY the zero ideal."""
 
     generator_valuation: Valuation
-
-    @property
-    def is_zero_ideal(self) -> bool:
-        return self.generator_valuation == INFINITY
-
-    @property
-    def is_unit_ideal(self) -> bool:
-        return self.generator_valuation == 0
 
 
 @dataclass(frozen=True)
@@ -241,23 +235,15 @@ def diagonal_presentation(M: FgZpModule, precision: Optional[int] = None) -> Pre
 # Fitting ideals: formula route, minor route, brute-force route.
 
 
-def fitting_ideal(M: FgZpModule, i: int) -> FittingIdeal:
-    """Closed form on the normal form: zero ideal below the free rank, then
-    tail products of the invariant factors, then the unit ideal."""
+def phi(M: FgZpModule, i: int) -> Valuation:
+    """Valuation of the i-th Fitting ideal, in closed form on the normal
+    form: INFINITY (the zero ideal) below the free rank, then tail sums of
+    the exponents, down to 0 (the unit ideal)."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    r, exps = M.free_rank, M.exponents
-    s = len(exps)
-    if i < r:
-        return FittingIdeal(INFINITY)
-    if i < s + r:
-        return FittingIdeal(sum(exps[i - r :]))
-    return FittingIdeal(0)
-
-
-def phi(M: FgZpModule, i: int) -> Valuation:
-    """Valuation of the i-th Fitting ideal."""
-    return fitting_ideal(M, i).generator_valuation
+    if i < M.free_rank:
+        return INFINITY
+    return sum(M.exponents[i - M.free_rank :])
 
 
 def fitting_from_minors(P: Presentation, i: int) -> FittingIdeal:
@@ -277,6 +263,9 @@ def fitting_from_minors(P: Presentation, i: int) -> FittingIdeal:
         return FittingIdeal(INFINITY)
     if n > 6:
         raise BudgetExceeded("minor enumeration capped at 6 generators")
+    count = math.comb(n, k) * math.comb(m, k)
+    if count > MINOR_BUDGET:
+        raise BudgetExceeded(f"{count} minors exceed the budget of {MINOR_BUDGET}")
     p, N = P.p, P.precision
     best: Valuation = INFINITY
     for rows in itertools.combinations(range(n), k):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import CORPUS
-from iwk import cli, ecq, twist
+from iwk import cli, conditions, ecq, twist
 from iwk.cli import (
     CurveRecord,
     analyze_curve,
@@ -60,6 +60,10 @@ def test_parse_poly_literal():
     assert parse_poly_literal("5") == [5]
     assert parse_poly_literal("T^2-3T+9") == [9, -3, 1]
     assert parse_poly_literal(" -T ^ 2 + 3 * T - 06 ") == [-6, 3, -1]
+    # zero top terms are dropped, down to one coefficient
+    assert parse_poly_literal("0*T^3+T^2+3*T+3") == [3, 3, 1]
+    assert parse_poly_literal("T^2-T^2+T") == [0, 1]
+    assert parse_poly_literal("0*T^2") == [0]
     with pytest.raises(ValueError):
         parse_poly_literal("")
     # a stray sign, or a space standing in for one, names the bad term
@@ -133,6 +137,40 @@ def test_exit_one_on_bad_input(capsys):
     assert main(["analyze", "--curve", "0,0,1,-7,6", "--p", "7", "--mu", "1"]) == 1
 
 
+def test_bad_p_rejected_before_factoring(monkeypatch, capsys):
+    factored = []
+    factor = ecq.factorint
+    monkeypatch.setattr(ecq, "factorint", lambda n: factored.append(n) or factor(n))
+    with pytest.raises(ValueError, match="odd prime"):
+        analyze_curve(EllipticCurveQ(0, 0, 1, -7, 6), 4)
+    assert main(["analyze", "--curve", "0,0,1,-7,6", "--p", "9"]) == 1
+    assert "odd prime" in capsys.readouterr().err
+    assert factored == []
+
+
+def test_prime_bounds_checked_before_scanning(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path))
+    # the bound itself is accepted: 5077a1 at p = 7 has every witness by 67
+    assert main(["analyze", "--curve", "0,0,1,-7,6", "--p", "7",
+                 "--ap-bound", str(ecq.AP_PRIME_BOUND)]) == 0
+    capsys.readouterr()
+    def count(E, ell):
+        raise AssertionError(f"a_{ell} counted before the bound was checked")
+
+    for module in (cli, conditions):
+        monkeypatch.setattr(module, "count_points_ap", count)
+    for args in (
+        ["analyze", "--curve", "0,-1,1,-10,-20", "--p", "3", "--ap-bound", "1000003"],
+        ["analyze", "--curve", "0,0,1,-7,6", "--p", "7", "--ap-bound", "-5"],
+        ["cache", "--curve", "0,0,1,-7,6", "--bound", "1000003"],
+        ["cache", "--curve", "0,0,1,-7,6", "--bound", "-5"],
+    ):
+        assert main(args) == 1, args
+        out, err = capsys.readouterr()
+        assert out == "" and "prime bound" in err, args
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_exit_four_on_search_exhausted(capsys):
     code = main(
         ["twist", "--curve", "0,-1,1,-10,-20", "--p", "3", "--search-bound", "4"]
@@ -167,7 +205,7 @@ def test_corpus_reports_golden():
                 continue
             pairs += 1
             report = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
-            digest.update(report.to_json().encode())
+            digest.update(json.dumps(report.data, sort_keys=True, indent=2).encode())
             if report.data["verdicts"]["C2"]["status"] == "FAILS":
                 E_tw, cert = construct_c2_twist(E, p)
                 digest.update(
@@ -331,6 +369,12 @@ def test_fitting_presentation_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["phi"] == 3
     assert data["module"]["exponents"] == [2, 1]
+    # the minors route is skipped past its budgets, as for --module: six
+    # generators by thirty relations have 593,775 minors at i = 0
+    for rows, cols, budget in ((6, 30, "budget of 10000"), (7, 7, "capped at 6 generators")):
+        path.write_text(json.dumps({"p": 5, "precision": 3, "matrix": [[5] * cols] * rows}))
+        assert main(["fitting", "--presentation-file", str(path), "--i", "0"]) == 0
+        assert budget in json.loads(capsys.readouterr().out)["cross_checks"]["minors"]["skipped"]
     # malformed files exit 1 with a message naming the field, not a traceback
     for obj, field in (
         ({"p": 5, "precision": 4}, "matrix"),
@@ -379,6 +423,12 @@ def test_coinv_command(capsys):
     assert main(["coinv", "--poly", "T^2", "--mu", "0", "--p", "3", "--n-range", "3"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [row["order"] for row in data["table"]] == [5] and data["bounded_tail"] is False
+    # a zero top term changes nothing
+    outs = []
+    for poly in ("T^2+3*T+3", "0*T^3+T^2+3*T+3"):
+        assert main(["coinv", "--poly", poly, "--p", "3", "--n-range", "1..4"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -516,55 +566,77 @@ def test_cli_subprocess_smoke():
 
 
 # ---------------------------------------------------------------------------
-# Library-only routes.
+# Reachability of every definition.
 
-# Exports of iwk that no `iwk` subcommand reaches, with why each stays.
+# Definitions that no `iwk` subcommand reaches, with why each stays.  The
+# walk goes on from them, so what they use needs no entry of its own.
 LIBRARY_ONLY = {
     "weierstrass_prepare": "acceptance criterion 3; bench/ calls it",
     "TruncatedSeries": "acceptance criterion 3; bench/ calls it",
     "GroupRingPresentation": "acceptance criterion 8; bench/ calls it",
-    "DeltaCharacter": "acceptance criterion 8; bench/ calls it",
     "all_characters": "acceptance criterion 8; bench/ calls it",
     "delta_decompose": "acceptance criterion 8; bench/ calls it",
-    "teichmuller": "acceptance criterion 8, through DeltaCharacter; bench/ calls it",
+    "underlying_presentation": "the oracle that tests/test_zpmod.py checks delta_decompose against",
     "direct_sum": "acceptance criterion 2",
-    "phi_i_transfer": "to be wired to coinvariant structures (ROADMAP item 13)",
+    "ingest_curves": "bench/ reads its corpus CSV with it",
+    "error": "argparse calls _Parser.error on a usage error",
 }
 
 
 def test_library_only_exports_are_listed():
-    """Walk the AST from every cli._cmd_* handler, matching any name or
-    attribute against the top-level definitions of the package (so the walk
-    over-approximates what a subcommand reaches), and require the exports it
-    never reaches to be exactly LIBRARY_ONLY."""
+    """Walk the AST from cli.main, every cli._cmd_* handler and LIBRARY_ONLY,
+    following any name or attribute that matches a top-level definition of
+    the package and any attribute that matches a method (so the walk
+    over-approximates what is reached).  Every top-level function and class
+    and every non-dunder method must be reached, and no LIBRARY_ONLY entry
+    may be one that the subcommands reach."""
     import ast
     import pathlib
 
+    def is_method(node):
+        return isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+
+    def body(node):
+        # a class's own body runs when it is used; its methods only when named
+        yield node
+        for child in ast.iter_child_nodes(node):
+            if not (isinstance(node, ast.ClassDef) and is_method(child)):
+                yield from body(child)
+
     pkg = pathlib.Path(cli.__file__).parent
-    defs = {}
+    defs, methods = {}, {}
     for path in sorted(pkg.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append(node)
+                for child in node.body if isinstance(node, ast.ClassDef) else ():
+                    if is_method(child):
+                        methods.setdefault(child.name, []).append(child)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     if isinstance(t, ast.Name):
                         defs.setdefault(t.id, []).append(node)
-    todo = [name for name in vars(cli) if name.startswith("_cmd_")]
-    assert len(todo) == 6
-    reached = set(todo)
-    while todo:
-        for node in defs[todo.pop()]:
-            for sub in ast.walk(node):
-                name = getattr(sub, "id", None) or getattr(sub, "attr", None)
-                if name in defs and name not in reached:
-                    reached.add(name)
-                    todo.append(name)
-    init = ast.parse((pkg / "__init__.py").read_text())
-    exports = {
-        alias.asname or alias.name
-        for node in init.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+
+    def reach(roots):
+        reached, todo = set(roots), list(roots)
+        while todo:
+            name = todo.pop()
+            for node in defs.get(name, []) + methods.get(name, []):
+                for sub in body(node):
+                    used = getattr(sub, "id", None) or getattr(sub, "attr", None)
+                    if used in reached:
+                        continue
+                    if used in defs or (isinstance(sub, ast.Attribute) and used in methods):
+                        reached.add(used)
+                        todo.append(used)
+        return reached
+
+    handlers = ["main"] + [name for name in vars(cli) if name.startswith("_cmd_")]
+    assert len(handlers) == 7
+    defined = set(methods) | {
+        name for name, nodes in defs.items()
+        if any(isinstance(n, (ast.FunctionDef, ast.ClassDef)) for n in nodes)
     }
-    assert exports - reached == set(LIBRARY_ONLY)
+    assert set(LIBRARY_ONLY) <= defined
+    assert reach(handlers) & set(LIBRARY_ONLY) == set()
+    assert defined - reach(handlers + list(LIBRARY_ONLY)) == set()

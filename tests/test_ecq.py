@@ -20,9 +20,7 @@ from iwk.ecq import (
     TwistClass,
     canonical_minimal,
     count_points_ap,
-    is_minimal_at,
     minimal_model,
-    potentially_multiplicative_primes,
     quadratic_twist,
     reduction_summary,
     reduction_type,
@@ -86,7 +84,7 @@ def test_reduction_5077(e5077):
 def test_reduction_additive_potentially_good():
     # y^2 = x^3 - 25x: additive at 5 with integral j
     E = EllipticCurveQ(0, 0, 0, -25, 0)
-    assert is_minimal_at(E, 5)
+    assert E.minimal[1][0] % 5  # minimal at 5
     info = reduction_type(E, 5)
     assert info.kind == ReductionKind.ADDITIVE
     assert info.potentially == Potentially.POT_GOOD
@@ -366,10 +364,10 @@ def test_torsion_local_precondition(e5077):
 
 
 def test_potentially_multiplicative_primes(e5077, corpus):
-    assert potentially_multiplicative_primes(e5077) == [5077]
+    assert list(e5077.j_denominator_primes) == [5077]
     d = dict(corpus)
-    assert potentially_multiplicative_primes(d["27a1"]) == []
-    assert potentially_multiplicative_primes(d["14a1"]) == [2, 7]
+    assert list(d["27a1"].j_denominator_primes) == []
+    assert list(d["14a1"].j_denominator_primes) == [2, 7]
 
 
 def _smooth_point_count(E, ell):
@@ -520,14 +518,14 @@ def test_gamma_and_pot_mult_primes_on_random_curves():
             ell for ell in sorted(factorint(abs(E_min.discriminant)))
             if E_min.j_valuation(ell) < 0
         ]
-        assert potentially_multiplicative_primes(E) == expected, a
+        assert list(E.j_denominator_primes) == expected, a
         u = rng.choice((1, 2, 3, 6))
         r, s, t = (rng.randint(-9, 9) for _ in range(3))
         model = E.transformed(Fraction(1, u), r, s, t)
-        assert potentially_multiplicative_primes(model) == expected, (a, u, r, s, t)
+        assert list(model.j_denominator_primes) == expected, (a, u, r, s, t)
         for d in _TWO_ADIC_CLASSES:
             V = quadratic_twist(E, d)
-            assert potentially_multiplicative_primes(V) == expected, (a, d)
+            assert list(V.j_denominator_primes) == expected, (a, d)
             gamma = reduction_type(V, 2).twist_class_gamma
             assert gamma == _gamma_at_2_by_trial_twist(V), (a, d)
             seen.add(gamma)

@@ -11,11 +11,8 @@ from iwk.growth import (
     class_number_growth,
     compare,
     doubling_discrepancy_note,
-    euler_phi_prime_power,
     mordell_weil_bound,
-    phi_i_transfer,
 )
-from iwk.zpmod import FgZpModule
 
 
 def G(p, mu, lam):
@@ -82,10 +79,9 @@ def test_class_number_growth_additive_over_characters():
 
 
 def test_euler_phi_prime_power():
-    assert euler_phi_prime_power(7, 0) == 1
-    assert euler_phi_prime_power(3, 1) == 2
-    assert euler_phi_prime_power(3, 2) == 6
-    assert euler_phi_prime_power(7, 2) == 42
+    # mordell_weil_bound(0, m, p) is -phi(p^m)
+    phis = [-mordell_weil_bound(0, m, p)[0] for p, m in ((7, 0), (3, 1), (3, 2), (7, 2))]
+    assert phis == [1, 2, 6, 42]
 
 
 def test_mordell_weil_examples():
@@ -108,25 +104,6 @@ def test_mordell_weil_consistent_with_doubling():
         lam = max(lower, 0) + rng.randint(0, 3)
         g = class_number_growth(IwasawaInvariants(p, rng.randint(0, 2), lam))
         assert compare(g_low, g) != Comparison.A_DOMINATES
-
-
-def test_phi_i_transfer():
-    p = 5
-    sel = [FgZpModule(p, 0, (n, 1)) for n in range(1, 8)]
-    cls = [FgZpModule(p, 0, tuple(sorted((n, n, 1, 1), reverse=True))) for n in range(1, 8)]
-    rep = phi_i_transfer(sel, cls, 0, 0)
-    assert rep.ok and set(rep.deviations) == {0}
-
-    junked = [FgZpModule(p, 0, tuple(sorted((n, n, 1, 1, 1), reverse=True))) for n in range(1, 8)]
-    rep2 = phi_i_transfer(sel, junked, 0, 1)
-    assert rep2.ok and set(rep2.deviations) == {-1}
-
-    growing = [
-        FgZpModule(p, 0, tuple(sorted([n, n, 1, 1] + [1] * n, reverse=True)))
-        for n in range(1, 8)
-    ]
-    rep3 = phi_i_transfer(sel, growing, 0, 2)
-    assert not rep3.ok and rep3.failures
 
 
 def test_invariants_validation():

@@ -10,10 +10,8 @@ from iwk.iwasawa import (
     TruncatedSeries,
     coinvariant_order,
     growth_window_check,
-    mu_lambda,
     poly_mod_monic,
     poly_mul,
-    series_from_poly,
     weierstrass_prepare,
 )
 from iwk.padic import ord_p
@@ -51,6 +49,9 @@ def test_distinguished_validation():
 
 
 def test_mu_lambda_examples():
+    def mu_lambda(M):
+        return M.mu, M.lambda_invariant
+
     assert mu_lambda(ElementaryLambdaModule(3, 1)) == (1, 0)
     T2 = DistinguishedPoly(3, (0, 0))
     assert mu_lambda(ElementaryLambdaModule(3, 0, ((T2, 1),))) == (0, 2)
@@ -79,13 +80,13 @@ def test_weierstrass_already_distinguished():
 def test_weierstrass_product_recovery():
     # (1+T) * (T^2 + 5T + 5) mod (5^4, T^6)
     prod = poly_mul([1, 1], [5, 5, 1])
-    s = series_from_poly(prod, 5, 4, 6)
+    s = TruncatedSeries(5, 4, 6, tuple(prod))
     mu, f, unit = weierstrass_prepare(s)
     assert mu == 0
     assert f.coefficients == (5, 5)
     # the unit is only determined up to truncation; it must be 1 + T mod p
     assert [c % 5 for c in unit.coefficients] == [1, 1, 0, 0, 0, 0]
-    back = series_from_poly(f.as_list(), 5, 4, 6).mul(unit)
+    back = TruncatedSeries(5, 4, 6, tuple(f.as_list())).mul(unit)
     assert back.coefficients == s.coefficients
 
 
@@ -114,7 +115,7 @@ def test_weierstrass_random_round_trip():
         s = TruncatedSeries(p, N, D, tuple(s_coeffs))
         mu2, f2, u2 = weierstrass_prepare(s)
         assert (mu2, f2.degree) == (mu, lam)
-        remul = series_from_poly(f2.as_list(), p, N - mu, D).mul(u2)
+        remul = TruncatedSeries(p, N - mu, D, tuple(f2.as_list())).mul(u2)
         sp = [(c // p**mu) % p ** (N - mu) for c in s.coefficients]
         assert list(remul.coefficients) == sp
 

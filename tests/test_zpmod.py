@@ -16,7 +16,6 @@ from iwk.zpmod import (
     diagonal_presentation,
     direct_sum,
     fitting_from_minors,
-    fitting_ideal,
     module_from_presentation,
     phi,
     phi0_of_cokernel,
@@ -147,9 +146,9 @@ def test_snf_round_trip():
 
 
 def test_fitting_formula_examples():
-    assert fitting_ideal(FgZpModule(7, 1, (2,)), 0).is_zero_ideal
+    assert phi(FgZpModule(7, 1, (2,)), 0) == INFINITY
     assert phi(FgZpModule(7, 0, (3, 1)), 0) == 4
-    assert fitting_ideal(FgZpModule(7, 0, (3, 1)), 2).is_unit_ideal
+    assert phi(FgZpModule(7, 0, (3, 1)), 2) == 0
     assert phi(FgZpModule(5), 0) == 0
     M = FgZpModule(5, 0, (3, 1))
     assert (phi(M, 0), phi(M, 1), phi(M, 2)) == (4, 1, 0)
@@ -165,7 +164,7 @@ def test_phi_monotone_and_order():
         vals = [phi(M, i) for i in range(len(M.exponents) + 2)]
         for a, b in zip(vals, vals[1:]):
             assert a >= b
-        assert phi(M, 0) == M.torsion_order_valuation()
+        assert phi(M, 0) == sum(M.exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +295,17 @@ def test_minors_examples():
     P = Presentation(5, 5, ((5, 0), (0, 25)))
     assert fitting_from_minors(P, 0).generator_valuation == 3
     assert fitting_from_minors(P, 1).generator_valuation == 1
-    assert fitting_from_minors(P, 2).is_unit_ideal
+    assert fitting_from_minors(P, 2).generator_valuation == 0
     # too few columns to form a minor: structurally the zero ideal
     free = Presentation(5, 3, ((0,), (0,)))
-    assert fitting_from_minors(free, 0).is_zero_ideal
+    assert fitting_from_minors(free, 0).generator_valuation == INFINITY
     with pytest.raises(PrecisionExhausted):
         fitting_from_minors(Presentation(5, 2, ((25, 0), (0, 25))), 0)
     with pytest.raises(BudgetExceeded):
         fitting_from_minors(Presentation(5, 2, tuple((0,) * 7 for _ in range(7))), 0)
+    # C(6, 6) * C(20, 6) = 38,760 minors at i = 0, over MINOR_BUDGET
+    with pytest.raises(BudgetExceeded, match="minors exceed"):
+        fitting_from_minors(Presentation(5, 2, tuple((5,) * 20 for _ in range(6))), 0)
 
 
 def test_oracle_triangle_small():
