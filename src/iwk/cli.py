@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
     SearchExhausted,
 )
-from .padic import INFINITY, primerange
+from .padic import INFINITY, isprime, primerange
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 from .zpmod import (
     FgZpModule,
@@ -231,6 +231,8 @@ def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
                 curve = tuple(int(a) for a in obj["curve"])
                 if curve != E_min.ainvs:
                     raise ValueError("curve mismatch")
+                if ell % 2 == 0 or not isprime(ell) or E_min.discriminant % ell == 0:
+                    raise ValueError(f"{ell} is not an odd prime of good reduction")
                 if ap * ap > 4 * ell:
                     raise ValueError("Hasse bound violated")
                 rec = TraceRecord(ell, ap)

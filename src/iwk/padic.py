@@ -10,7 +10,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import Dict, Iterator, List, Union
+from typing import Dict, Iterator, List, Optional, Union
 
 from .errors import IwkError, PostconditionFailed
 
@@ -32,16 +32,22 @@ class _LazySympy:
 
 sympy = _LazySympy()
 
-# Miller-Rabin with the first 13 prime bases is exact below psi_13, the least
-# strong pseudoprime to all of them (Sorenson and Webster, "Strong
-# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+# Miller-Rabin with the first k prime bases is exact below psi_k, the least
+# strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math. Comp. 61
+# (1993); Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86 (2017)).  _PSI lists psi_1, ..., psi_12.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051,
+    3825123056546413051, 3825123056546413051, 318665857834031151167461,
+)
 _PSI_13 = 3317044064679887385961981
 
 
 def isprime(n: int) -> bool:
-    """Whether n is prime: deterministic Miller-Rabin below psi_13, sympy's
-    isprime at or above it."""
+    """Whether n is prime: deterministic Miller-Rabin below psi_13, on as
+    few bases as n's size allows, sympy's isprime at or above it."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -53,7 +59,7 @@ def isprime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect.bisect_right(_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -106,9 +112,78 @@ def primerange(a: int, b: int) -> Iterator[int]:
     yield from (n for n in range(lo, b) if isprime(n))
 
 
+# factorint's first stage trial-divides to this bound.
+_TRIAL_LIMIT = 1 << 10
+# Iterations of y -> y^2 + c that Pollard-Brent rho may spend on one factor,
+# and the number of steps whose differences share one gcd.
+_RHO_BUDGET = 1 << 16
+_RHO_BATCH = 64
+
+
+def _rho_divisor(n: int) -> Optional[int]:
+    """A proper divisor of the odd composite n by Brent's cycle search on
+    y -> y^2 + c (Brent, BIT 20 (1980); Cohen, GTM 138, 8.5), or None once
+    _RHO_BUDGET iterations find none."""
+    steps = 0
+    for c in (1, 3):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            if steps + 2 * r > _RHO_BUDGET:
+                return None
+            steps += 2 * r
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            # the batch overshot: redo it one gcd per step from its start
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+    return None
+
+
 def factorint(n: int) -> Dict[int, int]:
-    """Prime factorization {prime: exponent} of n, by sympy's factorint."""
-    return sympy.factorint(n)
+    """Prime factorization {prime: exponent} of n >= 1, in three stages.
+
+    sympy's factorint trial-divides to _TRIAL_LIMIT; this call is the one
+    that imports sympy.  A factor enters the result only once `isprime`
+    certifies it; Pollard-Brent rho splits every other one, and one that it
+    cannot split within _RHO_BUDGET iterations goes to sympy's factorint
+    whole.  PostconditionFailed is raised if a prime sympy returns fails
+    `isprime`, or if the prime powers do not multiply back to n.
+    """
+    if n < 1:
+        raise ValueError("factorint requires n >= 1")
+    out: Dict[int, int] = {}
+    pending = list(sympy.factorint(n, limit=_TRIAL_LIMIT).items())
+    while pending:
+        m, e = pending.pop()
+        if isprime(m):
+            out[m] = out.get(m, 0) + e
+            continue
+        d = _rho_divisor(m)
+        if d is not None:
+            pending += [(d, e), (m // d, e)]
+            continue
+        for q, f in sympy.factorint(m).items():
+            if not isprime(q):
+                raise PostconditionFailed(f"sympy's factorint({m}) returned the composite {q}")
+            out[q] = out.get(q, 0) + e * f
+    if math.prod(q**e for q, e in out.items()) != n:
+        raise PostconditionFailed(f"factorint({n}) returned {out}")
+    return out
 
 
 @functools.lru_cache(maxsize=None)

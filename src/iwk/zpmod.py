@@ -261,8 +261,6 @@ def fitting_from_minors(P: Presentation, i: int) -> FittingIdeal:
     if k > m:
         # not enough relation columns to form a single minor: the zero ideal
         return FittingIdeal(INFINITY)
-    if n > 6:
-        raise BudgetExceeded("minor enumeration capped at 6 generators")
     count = math.comb(n, k) * math.comb(m, k)
     if count > MINOR_BUDGET:
         raise BudgetExceeded(f"{count} minors exceed the budget of {MINOR_BUDGET}")

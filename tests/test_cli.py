@@ -7,6 +7,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from sympy import primerange
 
 from conftest import CORPUS
 from iwk import cli, conditions, ecq, twist
@@ -369,12 +370,18 @@ def test_fitting_presentation_file(tmp_path, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["phi"] == 3
     assert data["module"]["exponents"] == [2, 1]
-    # the minors route is skipped past its budgets, as for --module: six
+    # the minors route is skipped past its budget, as for --module: six
     # generators by thirty relations have 593,775 minors at i = 0
-    for rows, cols, budget in ((6, 30, "budget of 10000"), (7, 7, "capped at 6 generators")):
-        path.write_text(json.dumps({"p": 5, "precision": 3, "matrix": [[5] * cols] * rows}))
-        assert main(["fitting", "--presentation-file", str(path), "--i", "0"]) == 0
-        assert budget in json.loads(capsys.readouterr().out)["cross_checks"]["minors"]["skipped"]
+    path.write_text(json.dumps({"p": 5, "precision": 3, "matrix": [[5] * 30] * 6}))
+    assert main(["fitting", "--presentation-file", str(path), "--i", "0"]) == 0
+    assert "budget of 10000" in json.loads(capsys.readouterr().out)["cross_checks"]["minors"]["skipped"]
+    # the budget alone bounds it: seven generators at i = 0 are one minor
+    diag = [[3 * (r == c) for c in range(7)] for r in range(7)]
+    path.write_text(json.dumps({"p": 3, "precision": 8, "matrix": diag}))
+    assert main(["fitting", "--presentation-file", str(path), "--i", "0"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["phi"] == 7
+    assert data["cross_checks"]["minors"] == {"value": 7, "agrees": True}
     # malformed files exit 1 with a message naming the field, not a traceback
     for obj, field in (
         ({"p": 5, "precision": 4}, "matrix"),
@@ -502,6 +509,26 @@ def test_cache_poisoning_recovers(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "discarding corrupt cache entry" in err
     assert recovered == good
+
+
+def test_cache_discards_bad_primes(tmp_path, monkeypatch, capsys):
+    # 5077a1 has Delta = 5077: lines for ell = 9 and ell = 5077 are corrupt
+    monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path))
+    curve = ["--curve", "0,0,1,-7,6"]
+    assert main(["cache", *curve, "--bound", "50"]) == 0
+    path = next(tmp_path.iterdir())
+    with path.open("a") as fh:
+        for ell in (9, 5077):
+            fh.write(json.dumps({"curve": [0, 0, 1, -7, 6], "ell": ell, "ap": 0}) + "\n")
+    capsys.readouterr()
+    assert main(["cache", *curve, "--bound", "50"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["cached"] == 14
+    assert err.count("not an odd prime of good reduction") == 2
+    assert main(["cache", *curve, "--bound", "6000"]) == 0
+    assert json.loads(capsys.readouterr().out)["cached"] == 781
+    ells = [json.loads(line)["ell"] for line in path.read_text().splitlines()]
+    assert ells == [ell for ell in primerange(3, 6001) if ell != 5077]
 
 
 def test_cache_transparency(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import sympy
 from sympy import factorint, primerange
 
 from iwk import padic
-from iwk.errors import IwkError
+from iwk.errors import IwkError, PostconditionFailed
 from iwk.padic import (
     INFINITY,
     kronecker_symbol,
@@ -147,9 +147,19 @@ def test_isprime_matches_sympy():
     assert not padic.isprime(-7)
 
 
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, s))
+
+
 def test_isprime_rejects_strong_pseudoprimes():
-    # psi_4 and psi_9 (= psi_10 = psi_11) fool the first 4 and 11 prime bases
-    for n in (3215031751, 3825123056546413051, PSI_12):
+    # psi_k fools the first k prime bases, so isprime, which picks its bases
+    # by the size of n, must reach base k + 1 on it
+    for k, n in enumerate(padic._PSI + (PSI_13,), start=1):
+        assert all(_strong_probable_prime(n, a) for a in padic._MR_BASES[:k]), k
         assert not padic.isprime(n), n
     assert padic.isprime(2**61 - 1)  # a prime the Miller-Rabin path decides
 
@@ -191,3 +201,79 @@ def test_primerange_is_lazy(monkeypatch):
     scan = padic.primerange(3, 10**30)
     assert [next(scan) for _ in range(5)] == [3, 5, 7, 11, 13]
     assert padic._SIEVE.limit <= 1 << 10
+
+
+# ---------------------------------------------------------------------------
+# Factorization, against sympy's factorint.
+
+
+class _RecordingSympy:
+    """Stands in for padic's sympy, recording the keywords of each factorint
+    call; `bias` adds one to every exponent of a full (fallback) call."""
+
+    def __init__(self, bias=0):
+        self.calls, self.bias = [], bias
+
+    def factorint(self, n, **kwargs):
+        self.calls.append(kwargs)
+        out = factorint(n, **kwargs)
+        return {q: e + self.bias for q, e in out.items()} if not kwargs else out
+
+    def __getattr__(self, name):
+        return getattr(sympy, name)
+
+
+SMALL_PRIMES = list(primerange(2, 2**15))
+
+
+def _bigdisc_shape(rng):
+    """(primes below 2^15) * P2 * P1, P2 a prime in [10^5, 10^6], P1 larger."""
+    small = 1
+    for _ in range(rng.randint(1, 5)):
+        small *= rng.choice(SMALL_PRIMES) ** rng.randint(1, 3)
+    P2 = sympy.nextprime(rng.randrange(10**5, 10**6 - 100))
+    P1 = sympy.nextprime(rng.randrange(10**14, 10**30))
+    return small * P2 * P1
+
+
+def test_factorint_matches_sympy_with_trial_division_only(monkeypatch):
+    # every case splits within the rho budget, so sympy only trial-divides
+    rng = random.Random(19)
+    cases = [_bigdisc_shape(rng) for _ in range(40)]
+    semis = [q for q in SMALL_PRIMES if q > 2**10]
+    cases += [rng.choice(semis) * rng.choice(semis) for _ in range(40)]
+    for P in (1031, 32749, 999983, sympy.nextprime(2**20)):
+        cases += [P**2, P**3, 3 * P**2 * 1009]
+    cases += [1, 2, 7, 1021, 1031, sympy.nextprime(PSI_13), 2**89 - 1]
+    recorder = _RecordingSympy()
+    monkeypatch.setattr(padic, "sympy", recorder)
+    got = [padic.factorint(n) for n in cases]
+    assert recorder.calls == [{"limit": 2**10}] * len(cases)
+    # sympy's own answer second, as sympy 1.14 caches the factors it finds
+    assert got == [factorint(n) for n in cases]
+    with pytest.raises(ValueError):
+        padic.factorint(0)
+
+
+def test_factorint_falls_back_to_sympy_past_the_rho_budget(monkeypatch):
+    recorder = _RecordingSympy()
+    monkeypatch.setattr(padic, "sympy", recorder)
+    monkeypatch.setattr(padic, "_RHO_BUDGET", 8)
+    n = 2**5 * 1031 * 32749 * 999983
+    assert padic.factorint(n) == factorint(n)
+    assert recorder.calls[0] == {"limit": 2**10} and {} in recorder.calls[1:]
+
+
+def test_factorint_postcondition(monkeypatch):
+    monkeypatch.setattr(padic, "_RHO_BUDGET", 8)
+    # a wrong exponent from the fallback breaks the product
+    monkeypatch.setattr(padic, "sympy", _RecordingSympy(bias=1))
+    with pytest.raises(PostconditionFailed, match="returned"):
+        padic.factorint(1031 * 1033)
+    # an isprime that calls the prime 1009 composite sends it through rho and
+    # the fallback, which must not hand it back as a prime
+    monkeypatch.setattr(padic, "sympy", _RecordingSympy())
+    isprime = padic.isprime
+    monkeypatch.setattr(padic, "isprime", lambda n: n != 1009 and isprime(n))
+    with pytest.raises(PostconditionFailed, match="composite 1009"):
+        padic.factorint(3 * 1009)

@@ -301,7 +301,10 @@ def test_minors_examples():
     assert fitting_from_minors(free, 0).generator_valuation == INFINITY
     with pytest.raises(PrecisionExhausted):
         fitting_from_minors(Presentation(5, 2, ((25, 0), (0, 25))), 0)
-    with pytest.raises(BudgetExceeded):
+    # seven generators at i = 0 are one minor: only MINOR_BUDGET bounds the work
+    diag = tuple(tuple(5 * (r == c) for c in range(7)) for r in range(7))
+    assert fitting_from_minors(Presentation(5, 8, diag), 0).generator_valuation == 7
+    with pytest.raises(PrecisionExhausted):
         fitting_from_minors(Presentation(5, 2, tuple((0,) * 7 for _ in range(7))), 0)
     # C(6, 6) * C(20, 6) = 38,760 minors at i = 0, over MINOR_BUDGET
     with pytest.raises(BudgetExceeded, match="minors exceed"):
