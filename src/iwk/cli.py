@@ -25,7 +25,7 @@ from .errors import (
     PrecisionExhausted,
     SearchExhausted,
 )
-from .padic import INFINITY, isprime, primerange
+from .padic import INFINITY, primerange
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 from .zpmod import (
     FgZpModule,
@@ -51,6 +51,7 @@ from .growth import (
     mordell_weil_bound,
 )
 from .ecq import (
+    AP_PRIME_BOUND,
     EllipticCurveQ,
     TraceRecord,
     canonical_minimal,
@@ -217,7 +218,10 @@ def _cache_path(E: EllipticCurveQ) -> str:
 
 
 def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
+    """The records of the cache file at `path`; a file with corrupt lines
+    is rewritten without them."""
     out: Dict[int, TraceRecord] = {}
+    discarded = False
     if not os.path.exists(path):
         return out
     with open(path) as fh:
@@ -231,8 +235,12 @@ def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
                 curve = tuple(int(a) for a in obj["curve"])
                 if curve != E_min.ainvs:
                     raise ValueError("curve mismatch")
-                if ell % 2 == 0 or not isprime(ell) or E_min.discriminant % ell == 0:
-                    raise ValueError(f"{ell} is not an odd prime of good reduction")
+                # the bound also caps the sieve primerange grows for a corrupt ell
+                odd_prime = ell <= AP_PRIME_BOUND and ell % 2 and ell in primerange(ell, ell + 1)
+                if not odd_prime or E_min.discriminant % ell == 0:
+                    raise ValueError(
+                        f"{ell} is not an odd prime of good reduction up to {AP_PRIME_BOUND}"
+                    )
                 if ap * ap > 4 * ell:
                     raise ValueError("Hasse bound violated")
                 rec = TraceRecord(ell, ap)
@@ -241,8 +249,11 @@ def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
                     f"warning: discarding corrupt cache entry {path}:{lineno} ({e})",
                     file=sys.stderr,
                 )
+                discarded = True
                 continue
             out[ell] = rec
+    if discarded:
+        _write_cache(E_min, path, out)
     return out
 
 

@@ -32,22 +32,16 @@ class _LazySympy:
 
 sympy = _LazySympy()
 
-# Miller-Rabin with the first k prime bases is exact below psi_k, the least
-# strong pseudoprime to all of them (OEIS A014233; Jaeschke, Math. Comp. 61
-# (1993); Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
-# Math. Comp. 86 (2017)).  _PSI lists psi_1, ..., psi_12.
+# Miller-Rabin with the first 13 prime bases is exact below psi_13, the least
+# strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_PSI = (
-    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-    341550071728321, 341550071728321, 3825123056546413051,
-    3825123056546413051, 3825123056546413051, 318665857834031151167461,
-)
 _PSI_13 = 3317044064679887385961981
 
 
 def isprime(n: int) -> bool:
-    """Whether n is prime: deterministic Miller-Rabin below psi_13, on as
-    few bases as n's size allows, sympy's isprime at or above it."""
+    """Whether n is prime: deterministic Miller-Rabin below psi_13, sympy's
+    isprime at or above it."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -59,7 +53,7 @@ def isprime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES[: bisect.bisect_right(_PSI, n) + 1]:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -18,10 +18,13 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import BudgetExceeded, PrecisionExhausted
 from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
 
-# The most (n-i) x (n-i) minors fitting_from_minors enumerates: each is an
-# exact Bareiss determinant, so this bounds the route's time as the
-# generator cap alone does not (6 x 30 at i = 0 has 593,775 minors).
-MINOR_BUDGET = 10**4
+# The most work fitting_from_minors takes on, in word operations: Bareiss
+# elimination on a k x k minor makes about k^3 products of integers of up to
+# k * log2(p^N) bits, w 64-bit words each, and each minor also costs about
+# 16 such operations to enumerate, so the route estimates
+# C(n, k) * C(m, k) * (k^3 * w + 16).  A count of minors alone does not bound
+# the time, since one minor can be as large as the matrix.
+MINOR_BUDGET = 5 * 10**6
 
 @dataclass(frozen=True)
 class FgZpModule:
@@ -262,8 +265,13 @@ def fitting_from_minors(P: Presentation, i: int) -> FittingIdeal:
         # not enough relation columns to form a single minor: the zero ideal
         return FittingIdeal(INFINITY)
     count = math.comb(n, k) * math.comb(m, k)
-    if count > MINOR_BUDGET:
-        raise BudgetExceeded(f"{count} minors exceed the budget of {MINOR_BUDGET}")
+    words = 1 + k * (P.p**P.precision - 1).bit_length() // 64
+    work = count * (k**3 * words + 16)
+    if work > MINOR_BUDGET:
+        raise BudgetExceeded(
+            f"{count} minors of order {k} exceed the budget: "
+            f"about {work} word operations, over {MINOR_BUDGET}"
+        )
     p, N = P.p, P.precision
     best: Valuation = INFINITY
     for rows in itertools.combinations(range(n), k):

@@ -353,6 +353,14 @@ def test_fitting_command(capsys):
     assert main(["fitting", "--module", "7:#2", "--i", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["phi"] == "INFINITY"
 
+    # (Z/5)^100 at i = 1 has 10^4 minors of order 99: both cross-checks are
+    # skipped before any work starts
+    assert main(["fitting", "--module", "5:" + ",".join(["1"] * 100), "--i", "1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["phi"] == 99
+    assert "10000 minors of order 99 exceed the budget" in data["cross_checks"]["minors"]["skipped"]
+    assert "skipped" in data["cross_checks"]["bruteforce"]
+
     assert main(["fitting", "--module", "5:", "--i", "0"]) == 0
     assert json.loads(capsys.readouterr().out)["phi"] == 0
 
@@ -374,7 +382,9 @@ def test_fitting_presentation_file(tmp_path, capsys):
     # generators by thirty relations have 593,775 minors at i = 0
     path.write_text(json.dumps({"p": 5, "precision": 3, "matrix": [[5] * 30] * 6}))
     assert main(["fitting", "--presentation-file", str(path), "--i", "0"]) == 0
-    assert "budget of 10000" in json.loads(capsys.readouterr().out)["cross_checks"]["minors"]["skipped"]
+    assert "593775 minors of order 6 exceed the budget" in (
+        json.loads(capsys.readouterr().out)["cross_checks"]["minors"]["skipped"]
+    )
     # the budget alone bounds it: seven generators at i = 0 are one minor
     diag = [[3 * (r == c) for c in range(7)] for r in range(7)]
     path.write_text(json.dumps({"p": 3, "precision": 8, "matrix": diag}))
@@ -512,19 +522,25 @@ def test_cache_poisoning_recovers(tmp_path, monkeypatch, capsys):
 
 
 def test_cache_discards_bad_primes(tmp_path, monkeypatch, capsys):
-    # 5077a1 has Delta = 5077: lines for ell = 9 and ell = 5077 are corrupt
+    # 5077a1 has Delta = 5077: lines for ell = 9, ell = 5077 and the prime
+    # 1000003, past the bound any cache run accepts, are corrupt
     monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path))
     curve = ["--curve", "0,0,1,-7,6"]
     assert main(["cache", *curve, "--bound", "50"]) == 0
     path = next(tmp_path.iterdir())
     with path.open("a") as fh:
-        for ell in (9, 5077):
+        for ell in (9, 5077, 1000003):
             fh.write(json.dumps({"curve": [0, 0, 1, -7, 6], "ell": ell, "ap": 0}) + "\n")
     capsys.readouterr()
     assert main(["cache", *curve, "--bound", "50"]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["cached"] == 14
-    assert err.count("not an odd prime of good reduction") == 2
+    assert err.count("not an odd prime of good reduction") == 3
+    # the run computed no new prime, yet it rewrote the file without them
+    ells = [json.loads(line)["ell"] for line in path.read_text().splitlines()]
+    assert ells == list(primerange(3, 51))
+    assert main(["cache", *curve, "--bound", "50"]) == 0
+    assert capsys.readouterr().err == ""
     assert main(["cache", *curve, "--bound", "6000"]) == 0
     assert json.loads(capsys.readouterr().out)["cached"] == 781
     ells = [json.loads(line)["ell"] for line in path.read_text().splitlines()]

@@ -301,14 +301,28 @@ def test_minors_examples():
     assert fitting_from_minors(free, 0).generator_valuation == INFINITY
     with pytest.raises(PrecisionExhausted):
         fitting_from_minors(Presentation(5, 2, ((25, 0), (0, 25))), 0)
+
+    def diag(n, x):
+        return tuple(tuple(x * (r == c) for c in range(n)) for r in range(n))
+
     # seven generators at i = 0 are one minor: only MINOR_BUDGET bounds the work
-    diag = tuple(tuple(5 * (r == c) for c in range(7)) for r in range(7))
-    assert fitting_from_minors(Presentation(5, 8, diag), 0).generator_valuation == 7
+    assert fitting_from_minors(Presentation(5, 8, diag(7, 5)), 0).generator_valuation == 7
     with pytest.raises(PrecisionExhausted):
-        fitting_from_minors(Presentation(5, 2, tuple((0,) * 7 for _ in range(7))), 0)
+        fitting_from_minors(Presentation(5, 2, diag(7, 0)), 0)
     # C(6, 6) * C(20, 6) = 38,760 minors at i = 0, over MINOR_BUDGET
-    with pytest.raises(BudgetExceeded, match="minors exceed"):
+    with pytest.raises(BudgetExceeded, match="38760 minors of order 6 exceed the budget"):
         fitting_from_minors(Presentation(5, 2, tuple((5,) * 20 for _ in range(6))), 0)
+    # the budget weighs each minor by its order and its entries' size, not
+    # only the count, and refuses before any elimination starts.  One 40 x 40
+    # minor's products reach about 2,600 bits at precision 41, 6,400 at 100
+    assert fitting_from_minors(Presentation(3, 41, diag(40, 3)), 0).generator_valuation == 40
+    with pytest.raises(BudgetExceeded, match="1 minors of order 40"):
+        fitting_from_minors(Presentation(3, 100, diag(40, 3)), 0)
+    # 10^4 minors of order 99, and one of order 300
+    with pytest.raises(BudgetExceeded, match="10000 minors of order 99"):
+        fitting_from_minors(Presentation(5, 101, diag(100, 5)), 1)
+    with pytest.raises(BudgetExceeded, match="1 minors of order 300"):
+        fitting_from_minors(Presentation(3, 2, diag(300, 3)), 0)
 
 
 def test_oracle_triangle_small():
