@@ -221,37 +221,42 @@ def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
     """The records of the cache file at `path`; a file with corrupt lines
     is rewritten without them."""
     out: Dict[int, TraceRecord] = {}
-    discarded = False
     if not os.path.exists(path):
         return out
+    entries: List[Tuple[int, object]] = []  # (line number, (ell, ap) or why it is corrupt)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                ell, ap = int(obj["ell"]), int(obj["ap"])
-                curve = tuple(int(a) for a in obj["curve"])
-                if curve != E_min.ainvs:
+                entry = obj["ell"], obj["ap"]
+                # int() would read 5.9 as 5, and a bool is an int
+                if any(type(v) is not int for v in (*entry, *obj["curve"])):
+                    raise ValueError("ell, ap and curve must be JSON integers")
+                if tuple(obj["curve"]) != E_min.ainvs:
                     raise ValueError("curve mismatch")
-                # the bound also caps the sieve primerange grows for a corrupt ell
-                odd_prime = ell <= AP_PRIME_BOUND and ell % 2 and ell in primerange(ell, ell + 1)
-                if not odd_prime or E_min.discriminant % ell == 0:
-                    raise ValueError(
-                        f"{ell} is not an odd prime of good reduction up to {AP_PRIME_BOUND}"
-                    )
-                if ap * ap > 4 * ell:
-                    raise ValueError("Hasse bound violated")
-                rec = TraceRecord(ell, ap)
             except (ValueError, KeyError, TypeError) as e:
-                print(
-                    f"warning: discarding corrupt cache entry {path}:{lineno} ({e})",
-                    file=sys.stderr,
-                )
-                discarded = True
+                entry = e
+            entries.append((lineno, entry))
+    # one sieve up to the file's largest ell; the bound caps it for a corrupt ell
+    top = max(
+        (e[0] for _, e in entries if isinstance(e, tuple) and e[0] <= AP_PRIME_BOUND), default=0
+    )
+    odd_primes = set(primerange(3, top + 1))
+    discarded = False
+    for lineno, entry in entries:
+        if isinstance(entry, tuple):
+            ell, ap = entry
+            if ell not in odd_primes or E_min.discriminant % ell == 0:
+                entry = f"{ell} is not an odd prime of good reduction up to {AP_PRIME_BOUND}"
+            elif ap * ap > 4 * ell:
+                entry = "Hasse bound violated"
+            else:
+                out[ell] = TraceRecord(ell, ap)
                 continue
-            out[ell] = rec
+        print(f"warning: discarding corrupt cache entry {path}:{lineno} ({entry})", file=sys.stderr)
+        discarded = True
     if discarded:
         _write_cache(E_min, path, out)
     return out

@@ -113,9 +113,14 @@ class EllipticCurveQ:
         return tuple(ell for ell in self.bad_primes if self.j_invariant.denominator % ell == 0)
 
     @functools.cached_property
-    def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, Fraction, Fraction, Fraction]]:
+    def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, int, int, int]]:
         """`minimal_model(self)`, built once per curve object."""
         return minimal_model(self)
+
+    @functools.cached_property
+    def _reductions(self) -> Dict[int, "ReductionInfo"]:
+        """`reduction_type(self, ell)` at each ell classified so far."""
+        return {}
 
     def j_valuation(self, ell: int) -> Valuation:
         """ord_ell of the j-invariant (negative iff ell divides the denominator)."""
@@ -123,20 +128,6 @@ class EllipticCurveQ:
         if j == 0:
             return ord_p(0, ell)
         return ord_p(j.numerator, ell) - ord_p(j.denominator, ell)
-
-    def transformed(self, u: Fraction, r: Fraction, s: Fraction, t: Fraction) -> "EllipticCurveQ":
-        """Apply the change of variables (u, r, s, t); result must be integral."""
-        u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
-        a1, a2, a3, a4, a6 = (Fraction(a) for a in self.ainvs)
-        na1 = (a1 + 2 * s) / u
-        na2 = (a2 - s * a1 + 3 * r - s * s) / u**2
-        na3 = (a3 + r * a1 + 2 * t) / u**3
-        na4 = (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4
-        na6 = (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6
-        coeffs = [na1, na2, na3, na4, na6]
-        if any(c.denominator != 1 for c in coeffs):
-            raise ValueError("transformation does not yield an integral model")
-        return EllipticCurveQ(*(int(c) for c in coeffs))
 
 
 class ReductionKind(enum.Enum):
@@ -247,7 +238,7 @@ def _curve_from_c4c6(c4: int, c6: int) -> EllipticCurveQ:
 
 def minimal_model(
     E: EllipticCurveQ,
-) -> Tuple[EllipticCurveQ, Tuple[int, Fraction, Fraction, Fraction]]:
+) -> Tuple[EllipticCurveQ, Tuple[int, int, int, int]]:
     """Global minimal model and the exact transform (u, r, s, t) onto it.
 
     The minimal model comes back with its own `minimal` entry set to itself
@@ -259,15 +250,20 @@ def minimal_model(
     for ell in E.bad_primes:
         u *= ell ** _minimality_exponent(c4, c6, E.discriminant, ell)
     E_min = _curve_from_c4c6(c4 // u**4, c6 // u**6)
-    # solve a1, a2, a3 of `transformed` for the unique (r, s, t) at this u
-    s = Fraction(u * E_min.a1 - E.a1, 2)
-    r = Fraction(u**2 * E_min.a2 - E.a2 + s * E.a1 + s * s, 3)
-    t = Fraction(u**3 * E_min.a3 - E.a3 - r * E.a1, 2)
-    try:
-        verified = E.transformed(u, r, s, t) == E_min
-    except ValueError:
-        verified = False
-    if not verified:
+    # r, s and t are integers: a change of coordinates from an integral model
+    # to a minimal one is integral (Silverman, AEC, Prop. VII.1.3).  Solve the
+    # a1, a2, a3 rules for them; if 2 or 3 leaves a remainder, that rule fails
+    a1, a2, a3, a4, a6 = E.ainvs
+    s = (u * E_min.a1 - a1) // 2
+    r = (u**2 * E_min.a2 - a2 + s * a1 + s * s) // 3
+    t = (u**3 * E_min.a3 - a3 - r * a1) // 2
+    if (u * E_min.a1, u**2 * E_min.a2, u**3 * E_min.a3, u**4 * E_min.a4, u**6 * E_min.a6) != (
+        a1 + 2 * s,
+        a2 - s * a1 + 3 * r - s * s,
+        a3 + r * a1 + 2 * t,
+        a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t,
+        a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1,
+    ):
         raise PostconditionFailed("minimal-model transform verification failed")
     if E.discriminant % E_min.discriminant:
         raise PostconditionFailed("minimal discriminant does not divide the input's")
@@ -303,7 +299,8 @@ def _square_class(value: int, ell: int) -> TwistClass:
 
 
 def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
-    """Classify the special fiber at ell on a model minimal there.
+    """Classify the special fiber at ell on a model minimal there, once per
+    curve object: the result is kept on E, a NotMinimalAtPrime is not.
 
     At a potentially multiplicative prime, gamma is the class of -c4/c6 in
     Q_ell^x / (Q_ell^x)^2 (Silverman, Advanced Topics in the Arithmetic of
@@ -311,20 +308,26 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
     of -c6, and twisting by it gives split multiplicative reduction.  So a
     multiplicative fiber is split iff gamma is a square.
     """
+    info = E._reductions.get(ell)
+    if info is not None:
+        return info
     if _minimality_exponent(E.c4, E.c6, E.discriminant, ell):
         raise NotMinimalAtPrime(f"model is not minimal at {ell}")
     if ord_p(E.discriminant, ell) == 0:
-        return ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
-    if E.j_valuation(ell) >= 0:
-        return ReductionInfo(ell, ReductionKind.ADDITIVE, Potentially.POT_GOOD)
-    gamma = _square_class(-E.c6, ell)
-    if ord_p(E.c4, ell) > 0:
-        kind = ReductionKind.ADDITIVE
-    elif gamma == TwistClass.UNIT_SQUARE:
-        kind = ReductionKind.MULT_SPLIT
+        info = ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
+    elif E.j_valuation(ell) >= 0:
+        info = ReductionInfo(ell, ReductionKind.ADDITIVE, Potentially.POT_GOOD)
     else:
-        kind = ReductionKind.MULT_NONSPLIT
-    return ReductionInfo(ell, kind, Potentially.POT_MULT, gamma)
+        gamma = _square_class(-E.c6, ell)
+        if ord_p(E.c4, ell) > 0:
+            kind = ReductionKind.ADDITIVE
+        elif gamma == TwistClass.UNIT_SQUARE:
+            kind = ReductionKind.MULT_SPLIT
+        else:
+            kind = ReductionKind.MULT_NONSPLIT
+        info = ReductionInfo(ell, kind, Potentially.POT_MULT, gamma)
+    E._reductions[ell] = info
+    return info
 
 
 # ---------------------------------------------------------------------------

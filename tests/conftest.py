@@ -7,6 +7,8 @@ handful of externally documented 5077.a1 facts pinned in the acceptance
 suite.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from iwk.ecq import EllipticCurveQ
@@ -46,6 +48,24 @@ def corpus():
 @pytest.fixture(scope="session")
 def e5077():
     return EllipticCurveQ(0, 0, 1, -7, 6)
+
+
+def transformed(E, u, r, s, t):
+    """The model that the change of variables (u, r, s, t) takes E to, in
+    exact rationals (Silverman, AEC, Table III.1.2): the oracle for the
+    integer transform `minimal_model` checks.  ValueError if it is not integral."""
+    u, r, s, t = Fraction(u), Fraction(r), Fraction(s), Fraction(t)
+    a1, a2, a3, a4, a6 = (Fraction(a) for a in E.ainvs)
+    coeffs = [
+        (a1 + 2 * s) / u,
+        (a2 - s * a1 + 3 * r - s * s) / u**2,
+        (a3 + r * a1 + 2 * t) / u**3,
+        (a4 - s * a3 + 2 * r * a2 - (t + r * s) * a1 + 3 * r * r - 2 * s * t) / u**4,
+        (a6 + r * a4 + r * r * a2 + r**3 - t * a3 - t * t - r * t * a1) / u**6,
+    ]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ValueError("transformation does not yield an integral model")
+    return EllipticCurveQ(*(int(c) for c in coeffs))
 
 
 def count_points_naive(E, ell):

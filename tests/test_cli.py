@@ -4,12 +4,14 @@ import json
 import os
 import random
 import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from sympy import primerange
 
-from conftest import CORPUS
+from conftest import CORPUS, transformed
 from iwk import cli, conditions, ecq, twist
 from iwk.cli import (
     CurveRecord,
@@ -194,10 +196,10 @@ def test_report_determinism(capsys):
 GOLDEN_CORPUS_SHA256 = "c20366daded4e384f62f0147e2bcf772fc9e9b0a6de5661313767fbe9917e9af"
 
 
-def test_corpus_reports_golden():
+def _golden_run(digest) -> int:
     """analyze_curve at ap_bound 10^4 on every good (standard curve, p <= 13)
-    pair, plus the C2 twist wherever C2 fails."""
-    digest = hashlib.sha256()
+    pair, one curve object per curve, plus the C2 twist wherever C2 fails;
+    each report goes into `digest`, and the number of pairs comes back."""
     pairs = 0
     for label, a in CORPUS:
         E = EllipticCurveQ(*a)
@@ -212,8 +214,36 @@ def test_corpus_reports_golden():
                 digest.update(
                     json.dumps([list(E_tw.ainvs), cert.to_json_dict()], sort_keys=True).encode()
                 )
-    assert pairs == 93
+    return pairs
+
+
+def test_corpus_reports_golden():
+    digest = hashlib.sha256()
+    assert _golden_run(digest) == 93
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+
+
+def test_each_prime_classified_once(monkeypatch):
+    # over the golden run, reduction_type tests minimality at most once per
+    # (curve object, ell): C2, C2-sufficient, the reduction summary and the
+    # twist's C2 checks all read the classification kept on the curve
+    exponent = ecq._minimality_exponent
+    curves, calls = [], Counter()
+
+    def counting_exponent(c4, c6, disc, ell):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "reduction_type":
+            E = caller.f_locals["E"]
+            curves.append(E)  # alive, so that no other curve takes its id
+            calls[id(E), ell] += 1
+        return exponent(c4, c6, disc, ell)
+
+    monkeypatch.setattr(ecq, "_minimality_exponent", counting_exponent)
+    digest = hashlib.sha256()
+    assert _golden_run(digest) == 93
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+    # 114 (curve object, ell) at 581 calls before the classification was kept
+    assert len(calls) > 100 and max(calls.values()) == 1, sum(calls.values())
 
 
 def test_each_curve_factored_once(monkeypatch):
@@ -236,7 +266,7 @@ def test_each_curve_factored_once(monkeypatch):
     # on a model of 20a1 scaled by u = 2 only the input's |Delta| is factored:
     # the minimal model takes its primes from it, not from gcd(c4, c6)
     factored.clear()
-    E = EllipticCurveQ(0, 1, 0, 4, 4).transformed(Fraction(1, 2), 1, -1, 2)
+    E = transformed(EllipticCurveQ(0, 1, 0, 4, 4), Fraction(1, 2), 1, -1, 2)
     analyze_curve(E, 3)
     assert E.minimal[0].ainvs == (0, 1, 0, 4, 4) and E.minimal[1][0] == 2
     assert factored == [2**12 * 6400]
@@ -297,7 +327,7 @@ def test_minimal_model_built_once(monkeypatch):
 
     monkeypatch.setattr(ecq, "minimal_model", counting_build)
     E11 = EllipticCurveQ(0, -1, 1, -10, -20)
-    E = E11.transformed(Fraction(1, 6), 1, -1, 2)  # non-minimal at 2 and 3
+    E = transformed(E11, Fraction(1, 6), 1, -1, 2)  # non-minimal at 2 and 3
     report = analyze_curve(E, 3)
     assert report.data["curve"]["scaling_u"] == 6
     assert report.data["curve"]["minimal_ainvs"] == list(E11.ainvs)
@@ -321,7 +351,7 @@ def test_verdicts_invariant_under_change_of_model():
             continue
         u = rng.choice((1, 2, 3, 6))
         r, s, t = (rng.randint(-20, 20) for _ in range(3))
-        model = E.transformed(Fraction(1, u), r, s, t)
+        model = transformed(E, Fraction(1, u), r, s, t)
         for p in (3, 5, 7, 11):
             if E.minimal[0].discriminant % p == 0:
                 continue
@@ -528,15 +558,29 @@ def test_cache_discards_bad_primes(tmp_path, monkeypatch, capsys):
     curve = ["--curve", "0,0,1,-7,6"]
     assert main(["cache", *curve, "--bound", "50"]) == 0
     path = next(tmp_path.iterdir())
+    clean = path.read_text()
+    # and so are numbers that are not JSON integers, which int() would truncate
+    # (5.9 to the good prime 5) or accept (true as 1)
+    not_integers = [
+        {"curve": [0, 0, 1, -7, 6], "ell": 5.9, "ap": 0},
+        {"curve": [0, 0, 1, -7, 6], "ell": 7, "ap": -1.5},
+        {"curve": [0, 0, 1, -7, 6.0], "ell": 11, "ap": 0},
+        {"curve": [0, 0, 1, -7, 6], "ell": True, "ap": 0},
+        {"curve": [False, 0, 1, -7, 6], "ell": 13, "ap": 0},
+    ]
     with path.open("a") as fh:
         for ell in (9, 5077, 1000003):
             fh.write(json.dumps({"curve": [0, 0, 1, -7, 6], "ell": ell, "ap": 0}) + "\n")
+        for obj in not_integers:
+            fh.write(json.dumps(obj) + "\n")
     capsys.readouterr()
     assert main(["cache", *curve, "--bound", "50"]) == 0
     out, err = capsys.readouterr()
     assert json.loads(out)["cached"] == 14
     assert err.count("not an odd prime of good reduction") == 3
+    assert err.count("must be JSON integers") == len(not_integers)
     # the run computed no new prime, yet it rewrote the file without them
+    assert path.read_text() == clean
     ells = [json.loads(line)["ell"] for line in path.read_text().splitlines()]
     assert ells == list(primerange(3, 51))
     assert main(["cache", *curve, "--bound", "50"]) == 0

@@ -1,9 +1,11 @@
 import functools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
 
+from conftest import transformed
 from iwk import conditions
 from iwk.errors import BadReductionAtP, PostconditionFailed
 from iwk.conditions import (
@@ -56,9 +58,7 @@ def test_c2_bad_reduction_at_p(corpus):
 
 
 def test_c2_isomorphism_invariant(e5077):
-    from fractions import Fraction
-
-    scaled = e5077.transformed(Fraction(1, 3), 0, 0, 0)
+    scaled = transformed(e5077, Fraction(1, 3), 0, 0, 0)
     assert check_c2(scaled, 7).status == check_c2(e5077, 7).status
 
 

@@ -10,7 +10,7 @@ from sympy import factorint, nextprime, prevprime, primerange
 
 import iwk
 from iwk import ecq
-from conftest import count_points_naive, trace_naive
+from conftest import count_points_naive, trace_naive, transformed
 from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime, PostconditionFailed
 from iwk.ecq import (
     AP_PRIME_BOUND,
@@ -50,12 +50,58 @@ def test_minimal_model_fixed_point(e5077):
 def test_minimal_model_recovers_scaled(corpus):
     for u0 in (2, 3, 6):
         for label, E in corpus[:8]:
-            big = E.transformed(Fraction(1, u0), 0, 0, 0)
+            big = transformed(E, Fraction(1, u0), 0, 0, 0)
             assert big.discriminant == E.discriminant * u0**12
             back, (u, r, s, t) = minimal_model(big)
             assert u == u0
             assert back.j_invariant == E.j_invariant
             assert abs(back.discriminant) == abs(E.discriminant)
+
+
+def test_minimal_model_transform_matches_fraction_oracle():
+    # minimal_model solves and checks (u, r, s, t) in integers; on seeded
+    # models of random curves it agrees with the exact rational solve, and
+    # `transformed` takes each model to the base curve's minimal model
+    rng = random.Random(20221019)
+    models = 0
+    while models < 500:
+        try:
+            base = EllipticCurveQ(rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
+                                  rng.randint(-40, 40), rng.randint(-40, 40))
+        except ValueError:
+            continue
+        base_min, (base_u, _, _, _) = base.minimal
+        for _ in range(4):
+            u0 = rng.choice((1, 2, 3, 5, 6, 7, 10))
+            r0, s0, t0 = (rng.randint(-9, 9) for _ in range(3))
+            model = transformed(base, Fraction(1, u0), r0, s0, t0)
+            E_min, (u, r, s, t) = minimal_model(model)
+            assert all(type(x) is int for x in (u, r, s, t)), model.ainvs
+            assert E_min == base_min and u == u0 * base_u, model.ainvs
+            s_q = Fraction(u * E_min.a1 - model.a1, 2)
+            r_q = Fraction(u**2 * E_min.a2 - model.a2 + s_q * model.a1 + s_q * s_q, 3)
+            t_q = Fraction(u**3 * E_min.a3 - model.a3 - r_q * model.a1, 2)
+            assert (r_q, s_q, t_q) == (r, s, t), model.ainvs
+            assert transformed(model, u, r, s, t) == E_min, model.ainvs
+            models += 1
+
+
+def test_minimal_model_rejects_a_transform_that_fails(monkeypatch, e5077):
+    # mutation: the model built from (c4, c6) gets a1 and a2 changed while
+    # its c4, c6 and discriminant, cached at construction, stay; no (r, s, t)
+    # takes the input there, and the integer check must say so
+    build = ecq._curve_from_c4c6
+
+    def shifted(c4, c6):
+        E = build(c4, c6)
+        object.__setattr__(E, "a1", E.a1 + 1)
+        object.__setattr__(E, "a2", E.a2 - 1)
+        return E
+
+    monkeypatch.setattr(ecq, "_curve_from_c4c6", shifted)
+    for model in (EllipticCurveQ(*e5077.ainvs), transformed(e5077, Fraction(1, 6), 1, -1, 2)):
+        with pytest.raises(PostconditionFailed):
+            minimal_model(model)
 
 
 def test_minimal_model_idempotent(corpus):
@@ -92,9 +138,11 @@ def test_reduction_additive_potentially_good():
 
 
 def test_reduction_requires_minimality(e5077):
-    big = e5077.transformed(Fraction(1, 5), 0, 0, 0)
-    with pytest.raises(NotMinimalAtPrime):
-        reduction_type(big, 5)
+    big = transformed(e5077, Fraction(1, 5), 0, 0, 0)
+    # a refusal is not kept on the curve: every call tests minimality again
+    for _ in range(2):
+        with pytest.raises(NotMinimalAtPrime):
+            reduction_type(big, 5)
 
 
 def test_split_detection_routes_agree(corpus):
@@ -521,7 +569,7 @@ def test_gamma_and_pot_mult_primes_on_random_curves():
         assert list(E.j_denominator_primes) == expected, a
         u = rng.choice((1, 2, 3, 6))
         r, s, t = (rng.randint(-9, 9) for _ in range(3))
-        model = E.transformed(Fraction(1, u), r, s, t)
+        model = transformed(E, Fraction(1, u), r, s, t)
         assert list(model.j_denominator_primes) == expected, (a, u, r, s, t)
         for d in _TWO_ADIC_CLASSES:
             V = quadratic_twist(E, d)
