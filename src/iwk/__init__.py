@@ -11,7 +11,6 @@ forces the local-torsion condition.
 from .errors import (
     BadReductionAtP,
     BadReductionPrime,
-    BoundExceeded,
     BudgetExceeded,
     IwkError,
     NotMinimalAtPrime,
@@ -68,7 +67,6 @@ from .ecq import (
     ReductionKind,
     TraceRecord,
     TwistClass,
-    canonical_minimal,
     count_points_ap,
     minimal_model,
     quadratic_twist,

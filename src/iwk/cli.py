@@ -1,7 +1,7 @@
 """Command-line surface: analyze, twist, fitting, growth, coinv, cache.
 
-All structured output is JSON (text mode renders the same dictionary);
-identical inputs and budgets give byte-identical reports.  Exit codes:
+Every subcommand prints JSON; identical inputs and budgets give
+byte-identical reports.  Exit codes:
 0 all conditions hold, 1 malformed input, 2 some condition fails,
 3 inconclusive only, 4 twist search exhausted.
 """
@@ -18,13 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    BadReductionAtP,
-    BudgetExceeded,
-    IwkError,
-    PrecisionExhausted,
-    SearchExhausted,
-)
+from .errors import BudgetExceeded, IwkError, PrecisionExhausted, SearchExhausted
 from .padic import INFINITY, primerange
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 from .zpmod import (
@@ -54,7 +48,6 @@ from .ecq import (
     AP_PRIME_BOUND,
     EllipticCurveQ,
     TraceRecord,
-    canonical_minimal,
     check_prime_bound,
     count_points_ap,
     reduction_summary,
@@ -208,7 +201,7 @@ def cache_dir() -> str:
 
 
 def curve_cache_key(E: EllipticCurveQ) -> str:
-    E_min = canonical_minimal(E)
+    E_min = E.minimal[0]
     payload = ",".join(str(a) for a in E_min.ainvs)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -285,7 +278,7 @@ def _write_cache(E_min: EllipticCurveQ, path: str, records: Dict[int, TraceRecor
 def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
     """Compute and persist a_ell for all good odd ell <= bound; idempotent."""
     check_prime_bound(bound)
-    E_min = canonical_minimal(E)
+    E_min = E.minimal[0]
     path = _cache_path(E_min)
     known = _load_cache(E_min, path)
     disc = abs(E_min.discriminant)
@@ -382,44 +375,25 @@ def analyze_curve(
 # Subcommand handlers.
 
 
-def _render_text(obj: Dict, indent: int = 0) -> str:
-    lines = []
-    pad = "  " * indent
-    for key in sorted(obj):
-        val = obj[key]
-        if isinstance(val, dict):
-            lines.append(f"{pad}{key}:")
-            lines.append(_render_text(val, indent + 1))
-        else:
-            lines.append(f"{pad}{key}: {val}")
-    return "\n".join(lines)
-
-
-def _emit(data: Dict, fmt: str) -> None:
-    if fmt == "text":
-        print(_render_text(data))
-    else:
-        print(json.dumps(data, sort_keys=True, indent=2))
+def _emit(data: Dict) -> None:
+    print(json.dumps(data, sort_keys=True, indent=2))
 
 
 def _cmd_analyze(args) -> int:
     E = parse_curve(args.curve)
     if (args.mu is None) != (getattr(args, "lam") is None):
         raise ValueError("--mu and --lambda must be supplied together")
-    try:
-        report = analyze_curve(
-            E,
-            args.p,
-            ap_bound=args.ap_bound,
-            mu=args.mu,
-            lam=args.lam,
-            rank=args.rank,
-            source=args.source,
-            label=args.label,
-        )
-    except BadReductionAtP as e:
-        raise ValueError(str(e)) from None
-    _emit(report.data, args.format)
+    report = analyze_curve(
+        E,
+        args.p,
+        ap_bound=args.ap_bound,
+        mu=args.mu,
+        lam=args.lam,
+        rank=args.rank,
+        source=args.source,
+        label=args.label,
+    )
+    _emit(report.data)
     return report.exit_code
 
 
@@ -430,10 +404,8 @@ def _cmd_twist(args) -> int:
     except SearchExhausted as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         return 4
-    except BadReductionAtP as e:
-        raise ValueError(str(e)) from None
     data = {"twisted_ainvs": list(E_tw.ainvs), "certificate": cert.to_json_dict()}
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
@@ -466,7 +438,7 @@ def _cmd_fitting(args) -> int:
         except (BudgetExceeded, PrecisionExhausted) as e:
             checks["minors"] = {"skipped": str(e)}
     data.update(i=i, phi=_fmt_val(value), cross_checks=checks)
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
@@ -488,7 +460,7 @@ def _cmd_growth(args) -> int:
             "other": other.to_json_dict(),
             "relation": compare(g, other).value,
         }
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
@@ -511,7 +483,7 @@ def _cmd_coinv(args) -> int:
         "bounded_tail": rep.bounded,
         "max_deviation": rep.max_deviation,
     }
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
@@ -519,12 +491,12 @@ def _cmd_cache(args) -> int:
     E = parse_curve(args.curve)
     records = cache_traces(E, args.bound)
     data = {
-        "curve": list(canonical_minimal(E).ainvs),
+        "curve": list(E.minimal[0].ainvs),
         "bound": args.bound,
         "cached": len(records),
         "cache_file": _cache_path(E),
     }
-    _emit(data, args.format)
+    _emit(data)
     return 0
 
 
@@ -541,9 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="iwk", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(sp):
-        sp.add_argument("--format", choices=("json", "text"), default="json")
-
     sp = sub.add_parser("analyze", help="full condition report for a pair (E, p)")
     sp.add_argument("--curve", required=True)
     sp.add_argument("--p", type=int, required=True)
@@ -553,14 +522,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", type=int, default=None, dest="lam")
     sp.add_argument("--source", default="")
     sp.add_argument("--label", default="")
-    add_format(sp)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("twist", help="construct a twist satisfying the torsion condition")
     sp.add_argument("--curve", required=True)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND, dest="search_bound")
-    add_format(sp)
     sp.set_defaults(func=_cmd_twist)
 
     sp = sub.add_parser("fitting", help="Fitting-ideal valuation with cross-checks")
@@ -569,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--presentation-file", dest="presentation_file")
     sp.add_argument("--i", type=int, required=True)
     sp.add_argument("--budget", type=int, default=10**6)
-    add_format(sp)
     sp.set_defaults(func=_cmd_fitting)
 
     sp = sub.add_parser("growth", help="class-number growth class from invariants")
@@ -578,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--lambda", type=int, required=True, dest="lam")
     sp.add_argument("--compare", default=None)
     sp.add_argument("--source", default="")
-    add_format(sp)
     sp.set_defaults(func=_cmd_growth)
 
     sp = sub.add_parser("coinv", help="exact coinvariant orders over a window")
@@ -586,13 +551,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu", type=int, default=0)
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--n-range", required=True, dest="n_range")
-    add_format(sp)
     sp.set_defaults(func=_cmd_coinv)
 
     sp = sub.add_parser("cache", help="compute and persist traces of Frobenius")
     sp.add_argument("--curve", required=True)
     sp.add_argument("--bound", type=int, required=True)
-    add_format(sp)
     sp.set_defaults(func=_cmd_cache)
 
     return parser
@@ -606,7 +569,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"iwk: error: {e}", file=sys.stderr)
         return 1
     except BudgetExceeded as e:

@@ -16,9 +16,7 @@ goes on to the prime bound only for non-CM curves.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass, field
-from itertools import zip_longest
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadReductionAtP, PostconditionFailed
@@ -27,7 +25,6 @@ from .padic import isprime, kronecker_symbol, multiplicative_order, ord_p, prime
 from .ecq import (
     EllipticCurveQ,
     ReductionKind,
-    canonical_minimal,
     check_prime_bound,
     count_points_ap,
     reduction_type,
@@ -43,7 +40,6 @@ class Status(enum.Enum):
 
 @dataclass(frozen=True)
 class Verdict:
-    condition: str
     status: Status
     witnesses: Tuple[Tuple[int, str], ...] = ()
     parameters: Dict = field(default_factory=dict)
@@ -65,7 +61,7 @@ class Verdict:
 def _require_good_odd_p(E: EllipticCurveQ, p: int) -> EllipticCurveQ:
     if p == 2 or not isprime(p):
         raise ValueError("p must be an odd prime")
-    E_min = canonical_minimal(E)
+    E_min = E.minimal[0]
     if ord_p(E_min.discriminant, p) != 0:
         raise BadReductionAtP(f"E has bad reduction at p = {p}")
     return E_min
@@ -93,8 +89,8 @@ def check_c2(E: EllipticCurveQ, p: int) -> Verdict:
                 )
             )
     if offenders:
-        return Verdict("C2", Status.FAILS, tuple(offenders), {"primes_checked": primes})
-    return Verdict("C2", Status.HOLDS, (), {"primes_checked": primes})
+        return Verdict(Status.FAILS, tuple(offenders), {"primes_checked": primes})
+    return Verdict(Status.HOLDS, (), {"primes_checked": primes})
 
 
 def check_c2_sufficient(E: EllipticCurveQ, p: int) -> Verdict:
@@ -104,31 +100,24 @@ def check_c2_sufficient(E: EllipticCurveQ, p: int) -> Verdict:
     primes = list(E_min.j_denominator_primes)
     params = {"primes_checked": primes}
     if not primes:
-        return Verdict("C2-sufficient", Status.HOLDS, (), params)
+        return Verdict(Status.HOLDS, (), params)
     if p % 4 != 3:
-        return Verdict(
-            "C2-sufficient",
-            Status.INCONCLUSIVE,
-            (),
-            {**params, "reason": f"p = {p} is not 3 mod 4"},
-        )
+        return Verdict(Status.INCONCLUSIVE, (), {**params, "reason": f"p = {p} is not 3 mod 4"})
     for ell in primes:
         info = reduction_type(E_min, ell)
         if info.kind != ReductionKind.MULT_NONSPLIT:
             return Verdict(
-                "C2-sufficient",
                 Status.INCONCLUSIVE,
                 (),
                 {**params, "reason": f"reduction at {ell} is {info.kind.value}"},
             )
         if kronecker_symbol(-p, ell) != 1:
             return Verdict(
-                "C2-sufficient",
                 Status.INCONCLUSIVE,
                 (),
                 {**params, "reason": f"-{p} is not a quadratic residue mod {ell}"},
             )
-    return Verdict("C2-sufficient", Status.HOLDS, (), params)
+    return Verdict(Status.HOLDS, (), params)
 
 
 # ---------------------------------------------------------------------------
@@ -148,48 +137,26 @@ _SCAN_BEFORE_FACTOR = 128
 
 
 def _division_polynomial_x(A: int, B: int, n: int):
-    """n-th division polynomial of y^2 = x^3 + Ax + B as a poly in x (n odd).
+    """n-th division polynomial of y^2 = x^3 + Ax + B as a poly in x, n = 3, 5, 7.
 
-    Built on integer coefficient lists, lowest degree first: P[m] is psi_m
-    for odd m and psi_m / 2y for even m, so y enters the usual recurrences
-    only through (2y)^4 = (4f)^2.
+    Written out on integer coefficient lists, lowest degree first
+    (Washington, Elliptic Curves, section 3.2): psi_5 = psi_4 psi_2^3 - psi_3^3
+    and psi_7 = psi_5 psi_3^3 - psi_2 psi_4^3.  psi_2 = 2y and psi_4 is
+    carried as psi_4 / 2y, so y enters only through (2y)^4 = 16 f^2.
     """
-    sixteen_f2 = poly_mul([16 * B, 16 * A, 0, 16], [B, A, 0, 1])
-    P = {
-        1: [1],
-        2: [1],
-        3: [-A * A, 12 * B, 6 * A, 0, 3],
-        4: [-16 * B * B - 2 * A**3, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2],
-    }
-
-    def minus(a, b):
-        out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
-        while out and out[-1] == 0:
-            out.pop()
-        return out
-
-    def prod(*factors):
-        return functools.reduce(poly_mul, factors)
-
-    def get(m):
-        if m not in P:
-            k = m // 2
-            if m % 2:  # psi_{k+2} psi_k^3 - psi_{k-1} psi_{k+1}^3
-                u = prod(get(k + 2), get(k), get(k), get(k))
-                v = prod(get(k - 1), get(k + 1), get(k + 1), get(k + 1))
-                # the term whose four factors have even index carries (2y)^4
-                if k % 2:
-                    v = poly_mul(v, sixteen_f2)
-                else:
-                    u = poly_mul(u, sixteen_f2)
-                P[m] = minus(u, v)
-            else:  # psi_k (psi_{k+2} psi_{k-1}^2 - psi_{k-2} psi_{k+1}^2) / 2y, over 2y:
-                # each term has two even-index factors, whose (2y)^2 cancels
-                P[m] = poly_mul(get(k), minus(prod(get(k + 2), get(k - 1), get(k - 1)),
-                                             prod(get(k - 2), get(k + 1), get(k + 1))))
-        return P[m]
-
-    return sympy.Poly(get(n)[::-1], sympy.Symbol("x"))
+    if n not in (3, 5, 7):
+        raise ValueError(f"psi_n is written out for n = 3, 5, 7, not {n}")
+    psi = psi3 = [-A * A, 12 * B, 6 * A, 0, 3]
+    if n > 3:
+        psi4 = [-16 * B * B - 2 * A**3, -8 * A * B, -10 * A * A, 40 * B, 10 * A, 0, 2]
+        psi4_psi2_cubed = poly_mul(psi4, poly_mul([16 * B, 16 * A, 0, 16], [B, A, 0, 1]))
+        psi3_cubed = poly_mul(poly_mul(psi3, psi3), psi3)
+        # equal lengths: both terms have the degree of psi_n
+        psi = [u - v for u, v in zip(psi4_psi2_cubed, psi3_cubed)]
+        if n == 7:
+            psi2_psi4_cubed = poly_mul(poly_mul(psi4, psi4), psi4_psi2_cubed)
+            psi = [u - v for u, v in zip(poly_mul(psi, psi3_cubed), psi2_psi4_cubed)]
+    return sympy.Poly(psi[::-1], sympy.Symbol("x"))
 
 
 def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int]]:
@@ -267,7 +234,6 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
         degrees = _division_poly_reducible(E_min, p)
         if degrees is not None:
             return Verdict(
-                "C1_str",
                 Status.FAILS,
                 ((p, f"division polynomial factors with degrees {degrees}"),),
                 params,
@@ -280,7 +246,6 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
             # CM curves over Q are bad at the primes ramified in their field
             raise PostconditionFailed(f"CM discriminant {disc} is divisible by the good prime {p}")
         return Verdict(
-            "C1_str",
             Status.FAILS,
             ((p, f"CM by discriminant {disc}: image in the normalizer of the {kind} Cartan"),),
             params,
@@ -290,14 +255,9 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
         witnesses = tuple(
             (ell, f"{cls}: {detail}") for cls, (ell, detail) in found.items()
         )
-        return Verdict("C1_str", Status.HOLDS, witnesses, params)
+        return Verdict(Status.HOLDS, witnesses, params)
     missing = [c for c, w in found.items() if w is None]
-    return Verdict(
-        "C1_str",
-        Status.INCONCLUSIVE,
-        (),
-        {**params, "unresolved_classes": missing},
-    )
+    return Verdict(Status.INCONCLUSIVE, (), {**params, "unresolved_classes": missing})
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +295,12 @@ def check_c3(E: EllipticCurveQ) -> Verdict:
     params = {"table": "13 rational CM j-invariants"}
     cm = cm_order(E)
     if cm is None:
-        return Verdict("C3", Status.HOLDS, (), {**params, "cm": False})
+        return Verdict(Status.HOLDS, (), {**params, "cm": False})
     disc, maximal = cm
     params = {**params, "cm": True, "cm_disc": disc}
     if maximal:
-        return Verdict("C3", Status.HOLDS, (), params)
+        return Verdict(Status.HOLDS, (), params)
     return Verdict(
-        "C3",
         Status.FAILS,
         ((abs(disc), f"CM by the non-maximal order of discriminant {disc}"),),
         params,

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (
-    BadReductionPrime,
-    BoundExceeded,
-    NotMinimalAtPrime,
-    PostconditionFailed,
-)
+from .errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
 from .padic import Valuation, factorint, kronecker_symbol, multiplicative_order, ord_p
 
 # The largest prime count_points_ap takes: a budget, not a word-size limit.
@@ -32,11 +27,11 @@ AP_PRIME_BOUND = 10**6
 
 def check_prime_bound(bound: int) -> None:
     """Refuse a bound on the primes to count points at before any is
-    counted: ValueError below 0, BoundExceeded above AP_PRIME_BOUND."""
+    counted: ValueError below 0, BudgetExceeded above AP_PRIME_BOUND."""
     if bound < 0:
         raise ValueError(f"prime bound {bound} must be >= 0")
     if bound > AP_PRIME_BOUND:
-        raise BoundExceeded(f"prime bound {bound} exceeds {AP_PRIME_BOUND}")
+        raise BudgetExceeded(f"prime bound {bound} exceeds {AP_PRIME_BOUND}")
 
 
 @dataclass(frozen=True)
@@ -352,10 +347,6 @@ def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
     return E_tw
 
 
-def canonical_minimal(E: EllipticCurveQ) -> EllipticCurveQ:
-    return E.minimal[0]
-
-
 # ---------------------------------------------------------------------------
 # Point counting.
 
@@ -500,7 +491,7 @@ def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
     operations, with the Legendre sum deciding the rare case it leaves open.
     """
     if ell > AP_PRIME_BOUND:
-        raise BoundExceeded(f"{ell} exceeds the bound {AP_PRIME_BOUND}")
+        raise BudgetExceeded(f"{ell} exceeds the bound {AP_PRIME_BOUND}")
     if ell % 2 == 0:
         raise ValueError("point counts need an odd prime")
     if ord_p(E.discriminant, ell) != 0:
@@ -536,5 +527,5 @@ def torsion_in_cyclotomic_local(E: EllipticCurveQ, ell: int, p: int) -> bool:
 
 
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:
-    E_min = canonical_minimal(E)
+    E_min = E.minimal[0]
     return {ell: reduction_type(E_min, ell) for ell in E_min.bad_primes}

@@ -10,7 +10,7 @@ class PrecisionExhausted(IwkError):
 
 
 class BudgetExceeded(IwkError):
-    """An enumeration budget (minors or brute-force element tuples) was exceeded."""
+    """A budget was exceeded: minors, brute-force element tuples, or a prime bound."""
 
 
 class NotMinimalAtPrime(IwkError):
@@ -19,10 +19,6 @@ class NotMinimalAtPrime(IwkError):
 
 class BadReductionPrime(IwkError):
     """The prime divides the minimal discriminant where good reduction is required."""
-
-
-class BoundExceeded(IwkError):
-    """A configured prime bound was exceeded."""
 
 
 class BadReductionAtP(IwkError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import BudgetExceeded, PrecisionExhausted
 from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
@@ -216,22 +216,15 @@ def phi0_of_cokernel(P: Presentation) -> int:
     return sum(N if v == INFINITY else min(int(v), N) for v in divisors)
 
 
-def diagonal_presentation(M: FgZpModule, precision: Optional[int] = None) -> Presentation:
+def diagonal_presentation(M: FgZpModule) -> Presentation:
     """Canonical presentation diag(p^{e_1},...,p^{e_s}) plus relation-free rows.
 
-    The default precision exceeds the sum of the exponents so that every
-    minor determinant stays visible."""
-    if precision is None:
-        precision = sum(M.exponents) + 1
-    if M.exponents and precision <= max(M.exponents):
-        raise PrecisionExhausted("precision must exceed the largest exponent")
+    Its precision exceeds the sum of the exponents so that every minor
+    determinant stays visible."""
     s = len(M.exponents)
-    rows = []
-    for i in range(s):
-        rows.append(tuple(M.p ** M.exponents[i] if j == i else 0 for j in range(s)))
-    for _ in range(M.free_rank):
-        rows.append(tuple(0 for _ in range(s)))
-    return Presentation(M.p, precision, tuple(rows))
+    rows = [tuple(M.p**e if j == k else 0 for j in range(s)) for k, e in enumerate(M.exponents)]
+    rows += [(0,) * s] * M.free_rank
+    return Presentation(M.p, sum(M.exponents) + 1, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +300,17 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
         raise ValueError("i must be >= 0")
     if i > 3:
         raise BudgetExceeded("brute force supports i <= 3")
-    exps = list(M.exponents)
-    s = len(exps)
+    exps = M.exponents
     p = M.p
     size = p ** sum(exps)
     if i >= 1 and size**i > budget:
         raise BudgetExceeded(f"#M^i = {size}^{i} exceeds budget {budget}")
 
     # quotient of the zero module is trivial for any tuple
-    if s == 0:
+    if not exps:
         return 0
 
     work_prec = max(exps) + 1
-    base_divs = smith_normal_form(diagonal_presentation(M, work_prec))
-    base = tuple(min(int(v), work_prec) for v in base_divs[:s])
 
     def quotient(divs: Tuple[int, ...], a: Tuple[int, ...]) -> Tuple[int, ...]:
         # nonzero SNF divisors of [diag(p^d) | a], non-decreasing; all are
@@ -342,7 +332,7 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
             memo[divs, r] = min(search(quotient(divs, a), r - 1) for a in reps)
         return memo[divs, r]
 
-    return search(base, i)
+    return search(tuple(reversed(exps)), i)
 
 
 # ---------------------------------------------------------------------------

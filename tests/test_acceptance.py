@@ -18,7 +18,6 @@ from iwk.conditions import Status, check_c1_str, check_c2, check_c2_sufficient, 
 from iwk.ecq import (
     EllipticCurveQ,
     ReductionKind,
-    canonical_minimal,
     count_points_ap,
     reduction_type,
 )
@@ -160,7 +159,7 @@ def test_criterion_5_worked_example_end_to_end():
     p = 7
 
     # externally documented facts for this curve and prime
-    info = reduction_type(canonical_minimal(E), 5077)
+    info = reduction_type(E.minimal[0], 5077)
     assert info.kind == ReductionKind.MULT_NONSPLIT
     assert kronecker_symbol(-7, 5077) == 1
     assert multiplicative_order(5077, 7) == 3 and multiplicative_order(5077, 7) % 2 == 1

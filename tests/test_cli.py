@@ -223,6 +223,35 @@ def test_corpus_reports_golden():
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
 
 
+# SHA-256 of the stdout of one command per subcommand, the cache directory's
+# path cut out of the cache report; any change to the bytes must change
+# these on purpose.
+GOLDEN_STDOUT_SHA256 = {
+    ("analyze", "--curve", "0,0,1,-7,6", "--p", "7", "--mu", "0", "--lambda", "2", "--rank", "3"):
+        "e4592b02412ae6d0c657a4aa4f1d88d7cd1736a484df72209d142ae2023dfd4a",
+    ("twist", "--curve", "0,-1,1,-10,-20", "--p", "3"):
+        "38b8a00c927165af5ccc5a46ace11e71a7ac11f15a5812df8f7ccd6d79bdaad4",
+    ("fitting", "--module", "7:3,1", "--i", "1"):
+        "27abf621cb1ac49ab877d31d57f69c9cf88efd33b54c3aa313920bb6d5333f6f",
+    ("growth", "--p", "7", "--mu", "0", "--lambda", "2", "--compare", "7,1,0"):
+        "b8c18ba85ee5854477bab1b344c5a92a6c998bd31149d03ea57d45450ce92250",
+    ("coinv", "--poly", "T^2+3*T+6", "--p", "3", "--n-range", "1..5"):
+        "2beddda9020bf8e252acd46839b25d1f27627989c030038d998b7174e4dd176c",
+    ("cache", "--curve", "0,0,1,-7,6", "--bound", "2000"):
+        "d35decde5a4b410abccbc69c13e0fdf8e905f6f077697d9a4de362946266179b",
+}
+
+
+def test_subcommand_stdout_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path))
+    handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+    assert {"_cmd_" + args[0] for args in GOLDEN_STDOUT_SHA256} == handlers
+    for args, expected in GOLDEN_STDOUT_SHA256.items():
+        assert main(list(args)) == 0, args
+        out = capsys.readouterr().out.replace(str(tmp_path), "")
+        assert hashlib.sha256(out.encode()).hexdigest() == expected, args
+
+
 def test_each_prime_classified_once(monkeypatch):
     # over the golden run, reduction_type tests minimality at most once per
     # (curve object, ell): C2, C2-sufficient, the reduction summary and the
@@ -601,12 +630,6 @@ def test_cache_transparency(tmp_path, monkeypatch):
     assert with_cache == without
 
 
-def test_text_format(capsys):
-    assert main(["growth", "--p", "3", "--mu", "0", "--lambda", "1", "--format", "text"]) == 0
-    out = capsys.readouterr().out
-    assert "lambda_hat: 2" in out
-
-
 def test_cold_imports(tmp_path):
     # the command-line tool loads sympy only for the work that needs it,
     # factoring, and numpy never
@@ -666,6 +689,7 @@ LIBRARY_ONLY = {
     "underlying_presentation": "the oracle that tests/test_zpmod.py checks delta_decompose against",
     "direct_sum": "acceptance criterion 2",
     "ingest_curves": "bench/ reads its corpus CSV with it",
+    "curve": "bench/ builds each ingested CurveRecord's curve with it",
     "error": "argparse calls _Parser.error on a usage error",
 }
 
@@ -673,15 +697,20 @@ LIBRARY_ONLY = {
 def test_library_only_exports_are_listed():
     """Walk the AST from cli.main, every cli._cmd_* handler and LIBRARY_ONLY,
     following any name or attribute that matches a top-level definition of
-    the package and any attribute that matches a method (so the walk
-    over-approximates what is reached).  Every top-level function and class
-    and every non-dunder method must be reached, and no LIBRARY_ONLY entry
-    may be one that the subcommands reach."""
+    the package, any called attribute that matches a method, and any read
+    attribute that matches a (cached) property (so the walk over-approximates
+    what is reached).  Every top-level function and class and every
+    non-dunder method must be reached, and no LIBRARY_ONLY entry may be one
+    that the subcommands reach."""
     import ast
     import pathlib
 
     def is_method(node):
         return isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+
+    def is_property(node):
+        names = {getattr(d, "id", None) or getattr(d, "attr", None) for d in node.decorator_list}
+        return bool(names & {"property", "cached_property"})
 
     def body(node):
         # a class's own body runs when it is used; its methods only when named
@@ -691,7 +720,7 @@ def test_library_only_exports_are_listed():
                 yield from body(child)
 
     pkg = pathlib.Path(cli.__file__).parent
-    defs, methods = {}, {}
+    defs, methods, properties = {}, {}, set()
     for path in sorted(pkg.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -699,6 +728,8 @@ def test_library_only_exports_are_listed():
                 for child in node.body if isinstance(node, ast.ClassDef) else ():
                     if is_method(child):
                         methods.setdefault(child.name, []).append(child)
+                        if is_property(child):
+                            properties.add(child.name)
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 for t in node.targets if isinstance(node, ast.Assign) else [node.target]:
                     if isinstance(t, ast.Name):
@@ -708,12 +739,16 @@ def test_library_only_exports_are_listed():
         reached, todo = set(roots), list(roots)
         while todo:
             name = todo.pop()
+            called = set()  # the attributes that are the callee of a call
             for node in defs.get(name, []) + methods.get(name, []):
-                for sub in body(node):
+                for sub in body(node):  # a call comes before its callee
+                    if isinstance(sub, ast.Call):
+                        called.add(id(sub.func))
                     used = getattr(sub, "id", None) or getattr(sub, "attr", None)
                     if used in reached:
                         continue
-                    if used in defs or (isinstance(sub, ast.Attribute) and used in methods):
+                    if used in defs or (isinstance(sub, ast.Attribute) and used in methods
+                                        and (id(sub) in called or used in properties)):
                         reached.add(used)
                         todo.append(used)
         return reached
@@ -726,4 +761,7 @@ def test_library_only_exports_are_listed():
     }
     assert set(LIBRARY_ONLY) <= defined
     assert reach(handlers) & set(LIBRARY_ONLY) == set()
+    # the group-ring route's character values are bench-only; an enum's
+    # `.value` read must not count as a call of DeltaCharacter.value
+    assert reach(handlers) & {"teichmuller", "value"} == set()
     assert defined - reach(handlers + list(LIBRARY_ONLY)) == set()

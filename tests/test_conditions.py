@@ -23,10 +23,10 @@ from iwk.padic import kronecker_symbol, primerange
 
 def test_verdict_invariants():
     with pytest.raises(ValueError):
-        Verdict("X", Status.FAILS, ())
+        Verdict(Status.FAILS, ())
     with pytest.raises(ValueError):
-        Verdict("X", Status.INCONCLUSIVE, (), {})
-    v = Verdict("X", Status.HOLDS, (), {"b": 1})
+        Verdict(Status.INCONCLUSIVE, (), {})
+    v = Verdict(Status.HOLDS, (), {"b": 1})
     assert v.to_json_dict()["status"] == "HOLDS"
 
 
@@ -271,8 +271,10 @@ def test_integer_division_polynomial_matches_symbolic():
             got = conditions._division_polynomial_x(A, B, n)
             assert got == expected, (A, B, n)
             assert got.LC() == n and got.degree() == (n * n - 1) // 2
-    # n = 9 goes through the even-index recurrence (psi_6)
-    assert conditions._division_polynomial_x(-3, 5, 9) == _symbolic_division_polynomial(-3, 5, 9)
+    # only psi_3, psi_5 and psi_7 are written out; no other n gets one of them
+    for n in (1, 2, 4, 9):
+        with pytest.raises(ValueError):
+            conditions._division_polynomial_x(-3, 5, n)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,6 @@ def _check_c1_str_factor_first(E, p, prime_bound):
         degrees = conditions._division_poly_reducible(E_min, p)
         if degrees is not None:
             return Verdict(
-                "C1_str",
                 Status.FAILS,
                 ((p, f"division polynomial factors with degrees {degrees}"),),
                 params,
@@ -317,9 +318,9 @@ def _check_c1_str_factor_first(E, p, prime_bound):
                     found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
     if all(found.values()):
         witnesses = tuple((ell, f"{cls}: {detail}") for cls, (ell, detail) in found.items())
-        return Verdict("C1_str", Status.HOLDS, witnesses, params)
+        return Verdict(Status.HOLDS, witnesses, params)
     missing = [c for c, w in found.items() if w is None]
-    return Verdict("C1_str", Status.INCONCLUSIVE, (), {**params, "unresolved_classes": missing})
+    return Verdict(Status.INCONCLUSIVE, (), {**params, "unresolved_classes": missing})
 
 
 def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):

@@ -11,14 +11,13 @@ from sympy import factorint, nextprime, prevprime, primerange
 import iwk
 from iwk import ecq
 from conftest import count_points_naive, trace_naive, transformed
-from iwk.errors import BadReductionPrime, BoundExceeded, NotMinimalAtPrime, PostconditionFailed
+from iwk.errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
 from iwk.ecq import (
     AP_PRIME_BOUND,
     EllipticCurveQ,
     Potentially,
     ReductionKind,
     TwistClass,
-    canonical_minimal,
     count_points_ap,
     minimal_model,
     quadratic_twist,
@@ -115,7 +114,7 @@ def test_minimal_model_idempotent(corpus):
 def test_corpus_is_canonically_minimal(corpus):
     # every corpus model is the canonical reduced minimal model of itself
     for label, E in corpus:
-        assert canonical_minimal(E) == E, label
+        assert E.minimal[0] == E, label
 
 
 def test_reduction_5077(e5077):
@@ -157,7 +156,7 @@ def test_split_detection_routes_agree(corpus):
             continue
     seen = set()
     for E in curves:
-        E_min = canonical_minimal(E)
+        E_min = E.minimal[0]
         for ell, info in reduction_summary(E_min).items():
             if info.kind not in (ReductionKind.MULT_SPLIT, ReductionKind.MULT_NONSPLIT):
                 continue
@@ -180,10 +179,10 @@ def test_potentially_multiplicative_iff_negative_j_valuation(corpus):
 
 def test_quadratic_twist_identity_and_involution(corpus):
     for label, E in corpus[:10]:
-        assert quadratic_twist(E, 1) == canonical_minimal(E)
+        assert quadratic_twist(E, 1) == E.minimal[0]
         for d in (-1, 2, -3, 5):
             twice = quadratic_twist(quadratic_twist(E, d), d)
-            assert twice == canonical_minimal(E), (label, d)
+            assert twice == E.minimal[0], (label, d)
 
 
 def test_twist_preserves_j(corpus):
@@ -242,7 +241,7 @@ def test_count_points_examples(e5077):
 def test_count_points_errors(e5077):
     with pytest.raises(BadReductionPrime):
         count_points_ap(e5077, 5077)
-    with pytest.raises(BoundExceeded):
+    with pytest.raises(BudgetExceeded):
         count_points_ap(e5077, nextprime(AP_PRIME_BOUND))
     with pytest.raises(ValueError):
         count_points_ap(e5077, 2)
@@ -441,12 +440,12 @@ def test_split_nonsplit_by_smooth_point_count(corpus):
     # an additive one ell; a third route independent of tangent directions
     # and residue symbols, on the corpus and on 300 seeded small models
     rng = random.Random(20221020)
-    curves = [(label, canonical_minimal(E)) for label, E in corpus]
+    curves = [(label, E.minimal[0]) for label, E in corpus]
     while len(curves) < len(corpus) + 300:
         ainvs = (rng.randint(0, 1), rng.randint(-1, 1), rng.randint(0, 1),
                  rng.randint(-200, 200), rng.randint(-200, 200))
         try:
-            curves.append((ainvs, canonical_minimal(EllipticCurveQ(*ainvs))))
+            curves.append((ainvs, EllipticCurveQ(*ainvs).minimal[0]))
         except ValueError:
             continue
     offset = {ReductionKind.MULT_SPLIT: -1, ReductionKind.MULT_NONSPLIT: 1, ReductionKind.ADDITIVE: 0}
@@ -483,7 +482,7 @@ def test_gamma_class_round_trip(corpus):
 
     checked = 0
     for label, E in corpus:
-        variants = [canonical_minimal(E)]
+        variants = [E.minimal[0]]
         for d in (-1, 3):
             variants.append(quadratic_twist(E, d))
         for V in variants:
@@ -561,7 +560,7 @@ def test_gamma_and_pot_mult_primes_on_random_curves():
         if E.j_valuation(2) >= 0:
             continue
         bases += 1
-        E_min = canonical_minimal(E)
+        E_min = E.minimal[0]
         expected = [
             ell for ell in sorted(factorint(abs(E_min.discriminant)))
             if E_min.j_valuation(ell) < 0

@@ -5,7 +5,7 @@ from sympy import factorint
 
 from iwk.errors import SearchExhausted
 from iwk.conditions import Status, check_c2
-from iwk.ecq import EllipticCurveQ, canonical_minimal, reduction_summary
+from iwk.ecq import EllipticCurveQ, reduction_summary
 from iwk.padic import kronecker_symbol
 from iwk.twist import TwistCertificate, _star, construct_c2_twist
 
@@ -117,7 +117,7 @@ def test_good_primes_preserved(corpus):
     # primes of good reduction coprime to 2*q*N1* stay good after twisting
     E = dict(corpus)["11a1"]
     E_tw, cert = construct_c2_twist(E, 3)
-    bad_before = set(factorint(abs(canonical_minimal(E).discriminant)))
+    bad_before = set(factorint(abs(E.minimal[0].discriminant)))
     bad_after = set(factorint(abs(E_tw.discriminant)))
     new_bad = bad_after - bad_before
     assert new_bad <= set(factorint(abs(2 * cert.d)))
