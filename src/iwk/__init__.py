@@ -9,7 +9,6 @@ forces the local-torsion condition.
 """
 
 from .errors import (
-    BadReductionAtP,
     BadReductionPrime,
     BudgetExceeded,
     IwkError,

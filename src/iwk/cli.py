@@ -196,18 +196,10 @@ def ingest_curves(path: str) -> List[CurveRecord]:
     return records
 
 
-def cache_dir() -> str:
-    return os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR)
-
-
-def curve_cache_key(E: EllipticCurveQ) -> str:
-    E_min = E.minimal[0]
-    payload = ",".join(str(a) for a in E_min.ainvs)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def _cache_path(E: EllipticCurveQ) -> str:
-    return os.path.join(cache_dir(), curve_cache_key(E) + ".jsonl")
+    """The trace-cache file of E, keyed by a hash of its minimal model."""
+    key = hashlib.sha256(",".join(map(str, E.minimal[0].ainvs)).encode()).hexdigest()[:16]
+    return os.path.join(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR), key + ".jsonl")
 
 
 def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
@@ -381,7 +373,7 @@ def _emit(data: Dict) -> None:
 
 def _cmd_analyze(args) -> int:
     E = parse_curve(args.curve)
-    if (args.mu is None) != (getattr(args, "lam") is None):
+    if (args.mu is None) != (args.lam is None):
         raise ValueError("--mu and --lambda must be supplied together")
     report = analyze_curve(
         E,

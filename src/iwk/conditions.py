@@ -19,7 +19,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from .errors import BadReductionAtP, PostconditionFailed
+from .errors import BadReductionPrime, PostconditionFailed
 from .iwasawa import poly_mul
 from .padic import isprime, kronecker_symbol, multiplicative_order, ord_p, primerange, sympy
 from .ecq import (
@@ -63,7 +63,7 @@ def _require_good_odd_p(E: EllipticCurveQ, p: int) -> EllipticCurveQ:
         raise ValueError("p must be an odd prime")
     E_min = E.minimal[0]
     if ord_p(E_min.discriminant, p) != 0:
-        raise BadReductionAtP(f"E has bad reduction at p = {p}")
+        raise BadReductionPrime(f"E has bad reduction at p = {p}")
     return E_min
 
 

@@ -18,11 +18,8 @@ class NotMinimalAtPrime(IwkError):
 
 
 class BadReductionPrime(IwkError):
-    """The prime divides the minimal discriminant where good reduction is required."""
-
-
-class BadReductionAtP(IwkError):
-    """The working prime p is a prime of bad reduction for the curve."""
+    """The prime divides the minimal discriminant where good reduction is
+    required: an auxiliary prime ell, or the working prime p."""
 
 
 class SearchExhausted(IwkError):

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .padic import _check_prime
@@ -23,20 +22,9 @@ class Comparison(enum.Enum):
 @dataclass(frozen=True)
 class GrowthClass:
     p: int
-    mu_hat: Fraction
-    lambda_hat: Fraction
+    mu_hat: int
+    lambda_hat: int
     label: str = ""
-
-    def __post_init__(self):
-        _check_prime(self.p)
-        mu = Fraction(self.mu_hat)
-        lam = Fraction(self.lambda_hat)
-        if mu < 0:
-            raise ValueError("mu_hat must be non-negative")
-        if mu.denominator not in (1, 2):
-            raise ValueError("mu_hat denominator must be 1 or 2")
-        object.__setattr__(self, "mu_hat", mu)
-        object.__setattr__(self, "lambda_hat", lam)
 
     def to_json_dict(self) -> dict:
         return {
@@ -78,8 +66,8 @@ def class_number_growth(inv: IwasawaInvariants) -> GrowthClass:
     """Doubling rule: the class-number exponent grows like 2(mu*p^n + lambda*n)."""
     return GrowthClass(
         inv.p,
-        Fraction(2 * inv.mu),
-        Fraction(2 * inv.lam),
+        2 * inv.mu,
+        2 * inv.lam,
         label=f"2*(mu*p^n + lambda*n) from {inv.source or 'ingested invariants'}",
     )
 
@@ -115,5 +103,5 @@ def mordell_weil_bound(r_m: int, m: int, p: int) -> Tuple[int, GrowthClass]:
     label = f"2*max(r_{m} - phi(p^{m}), 0)*n lower bound"
     if lambda_lower < 0:
         label += " (vacuous: negative coefficient clamped to 0)"
-    return lambda_lower, GrowthClass(p, Fraction(0), Fraction(2 * clamped), label)
+    return lambda_lower, GrowthClass(p, 0, 2 * clamped, label)
 

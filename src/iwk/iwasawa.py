@@ -217,10 +217,7 @@ def weierstrass_prepare(
     p, N, D = s.p, s.p_precision, s.T_precision
     if s.is_zero():
         raise PrecisionExhausted("series vanishes identically mod p^N")
-    mu = min(int(ord_p(c, p)) for c in s.coefficients if c)
-    mu = min(mu, N)
-    if mu >= N:
-        raise PrecisionExhausted("series vanishes identically mod p^N")
+    mu = min(int(ord_p(c, p)) for c in s.coefficients if c)  # < N: the coefficients are below p^N
     N2 = N - mu
     mod = p**N2
     sp = [(c // p**mu) % mod for c in s.coefficients]

@@ -10,23 +10,38 @@ is the only trusted oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Tuple
 
 from .errors import PostconditionFailed, SearchExhausted
 from .padic import isprime, kronecker_symbol, multiplicative_order
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 from .conditions import Status, check_c2, _require_good_odd_p
-from .ecq import EllipticCurveQ, quadratic_twist
+from .ecq import EllipticCurveQ, quadratic_twist, torsion_in_cyclotomic_local
 
 DEFAULT_SEARCH_BOUND = 10**5
 
 
 def _star(ell: int) -> int:
     """ell* = (-1)^((ell-1)/2) * ell for odd ell; 2* = 2."""
-    if ell == 2:
-        return 2
-    return ell if ell % 4 == 1 else -ell
+    return -ell if ell % 4 == 3 else ell
+
+
+def _epsilon(S: Tuple[int, ...], S1: Tuple[int, ...]) -> Dict[int, int]:
+    """eps_ell = prod over ell' in S1 of (ell'*|ell), for odd ell in S outside S1."""
+    return {ell: math.prod(kronecker_symbol(_star(lp), ell) for lp in S1)
+            for ell in S if ell not in S1 and ell != 2}
+
+
+def _mod8(S, S0, S1) -> Tuple[str, Optional[int]]:
+    """The mod-8 branch: its certificate text and the residue q*N1* must take."""
+    if 2 in S0:
+        return "2 in S0: q*N1* = 5 mod 8", 5
+    if 2 in S1:
+        return "2 in S1: no mod-8 constraint", None
+    if 2 in S:
+        return "2 in S outside S0 and S1: q*N1* = 1 mod 8", 1
+    return "2 not in S: no mod-8 constraint", None
 
 
 @dataclass(frozen=True)
@@ -48,40 +63,39 @@ class TwistCertificate:
     def trivial(self) -> bool:
         return self.d == 1
 
+    def inadmissible(self, q: int) -> Optional[str]:
+        """Why q cannot be the auxiliary prime, or None when it can: the
+        search and `validate` both ask this."""
+        if q % 4 != 1:
+            return "q must be 1 mod 4"
+        if math.gcd(q, self.p * math.prod(self.S)) != 1:
+            return "q must be coprime to p and to S"
+        if not isprime(q):
+            return "q must be prime"
+        for ell, eps in self.epsilon.items():
+            if kronecker_symbol(q, ell) != (-eps if ell in self.S0 else eps):
+                return f"Legendre sign at {ell} violated"
+        target = _mod8(self.S, self.S0, self.S1)[1]
+        if target is not None and (q * self.N1_star) % 8 != target:
+            return f"q*N1* must be {target} mod 8"
+        return None
+
     def validate(self) -> None:
         S, S0, S1 = set(self.S), set(self.S0), set(self.S1)
         if S0 & S1:
             raise PostconditionFailed("S0 and S1 must be disjoint")
         if not (S0 <= S and S1 <= S):
             raise PostconditionFailed("S0, S1 must be subsets of S")
-        n1 = 1
-        for ell in sorted(S1):
-            n1 *= _star(ell)
-        if n1 != self.N1_star:
+        if math.prod(map(_star, self.S1)) != self.N1_star:
             raise PostconditionFailed("N1* does not match S1")
         if self.trivial:
             return
-        q = self.q
-        if q is None or not isprime(q) or q % 4 != 1:
-            raise PostconditionFailed("q must be a prime = 1 mod 4")
-        if self.d != q * self.N1_star:
+        if self.epsilon != _epsilon(self.S, self.S1):
+            raise PostconditionFailed("epsilon does not match S and S1")
+        if self.q is None or self.d != self.q * self.N1_star:
             raise PostconditionFailed("d must equal q * N1*")
-        prod = self.p
-        for ell in S:
-            prod *= ell
-        if math.gcd(q, prod) != 1:
-            raise PostconditionFailed("q must be coprime to p and to S")
-        for ell in sorted(S - S1):
-            if ell == 2:
-                continue
-            eps = self.epsilon[ell]
-            want = -eps if ell in S0 else eps
-            if kronecker_symbol(q, ell) != want:
-                raise PostconditionFailed(f"Legendre sign at {ell} violated")
-        if 2 in S - (S0 | S1) and (q * self.N1_star) % 8 != 1:
-            raise PostconditionFailed("q*N1* must be 1 mod 8")
-        if 2 in S0 and (q * self.N1_star) % 8 != 5:
-            raise PostconditionFailed("q*N1* must be 5 mod 8")
+        if (reason := self.inadmissible(self.q)) is not None:
+            raise PostconditionFailed(reason)
 
     def to_json_dict(self) -> dict:
         return {
@@ -103,84 +117,28 @@ def construct_c2_twist(
     """Produce a twist of E satisfying the local-torsion condition, with a
     machine-checkable certificate; the checker re-verifies the result."""
     E_min = _require_good_odd_p(E, p)
-    verdict = check_c2(E_min, p)
-    S = tuple(verdict.parameters["primes_checked"])
-    if verdict.status == Status.HOLDS:
+    S = E_min.j_denominator_primes
+    # the primes of S that keep p-torsion over the local cyclotomic tower
+    offenders = [ell for ell in S if torsion_in_cyclotomic_local(E_min, ell, p)]
+    if not offenders:
         cert = TwistCertificate(p=p, S=S, S0=(), S1=(), N1_star=1, d=1, mod8_case="trivial")
         cert.validate()
         return E_min, cert
 
-    # the witnesses are the primes of S that keep p-torsion locally
-    S0: List[int] = []
-    S1: List[int] = []
-    for ell, _ in verdict.witnesses:
-        if multiplicative_order(ell, p) % 2 == 0:
-            S1.append(ell)
-        else:
-            S0.append(ell)
-    N1_star = 1
-    for ell in S1:
-        N1_star *= _star(ell)
-    epsilon: Dict[int, int] = {}
-    for ell in S:
-        if ell in S1 or ell == 2:
-            continue
-        eps = 1
-        for lp in S1:
-            eps *= kronecker_symbol(_star(lp), ell)
-        epsilon[ell] = eps
-
-    if 2 in S and 2 not in S0 and 2 not in S1:
-        mod8_case, mod8_target = "2 in S outside S0 and S1: q*N1* = 1 mod 8", 1
-    elif 2 in S0:
-        mod8_case, mod8_target = "2 in S0: q*N1* = 5 mod 8", 5
-    elif 2 in S1:
-        mod8_case, mod8_target = "2 in S1: no mod-8 constraint", None
-    else:
-        mod8_case, mod8_target = "2 not in S: no mod-8 constraint", None
-
-    modulus_primes = [p] + [ell for ell in S]
-    q = None
-    candidate = 5
-    while candidate <= search_bound:
-        if (
-            candidate % 4 == 1
-            and all(candidate % ell for ell in modulus_primes)
-            and isprime(candidate)
-        ):
-            ok = all(
-                kronecker_symbol(candidate, ell)
-                == (-epsilon[ell] if ell in S0 else epsilon[ell])
-                for ell in epsilon
-            )
-            if ok and mod8_target is not None:
-                ok = (candidate * N1_star) % 8 == mod8_target
-            if ok:
-                q = candidate
-                break
-        candidate += 2
-    if q is None:
-        raise SearchExhausted(
-            f"no admissible prime q <= {search_bound}; raise the search bound"
-        )
-
-    d = q * N1_star
-    E_twisted = quadratic_twist(E_min, d)
-    cert = TwistCertificate(
-        p=p,
-        S=S,
-        S0=tuple(S0),
-        S1=tuple(S1),
-        N1_star=N1_star,
-        epsilon=epsilon,
-        q=q,
-        mod8_case=mod8_case,
-        d=d,
+    S1 = tuple(ell for ell in offenders if multiplicative_order(ell, p) % 2 == 0)
+    S0 = tuple(ell for ell in offenders if ell not in S1)
+    base = TwistCertificate(
+        p=p, S=S, S0=S0, S1=S1, N1_star=math.prod(map(_star, S1)),
+        epsilon=_epsilon(S, S1), mod8_case=_mod8(S, S0, S1)[0],
     )
+    q = next((q for q in range(5, search_bound + 1, 4) if base.inadmissible(q) is None), None)
+    if q is None:
+        raise SearchExhausted(f"no admissible prime q <= {search_bound}; raise the search bound")
+    cert = replace(base, q=q, d=q * base.N1_star)
     cert.validate()
+    E_twisted = quadratic_twist(E_min, cert.d)
     verdict = check_c2(E_twisted, p)
     if verdict.status != Status.HOLDS:
-        raise PostconditionFailed(
-            f"twisted curve still fails the torsion condition: {verdict.to_json_dict()}"
-        )
+        raise PostconditionFailed(f"twisted curve still fails the torsion condition: "
+                                  f"{verdict.to_json_dict()}")
     return E_twisted, cert

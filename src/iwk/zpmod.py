@@ -302,9 +302,9 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
         raise BudgetExceeded("brute force supports i <= 3")
     exps = M.exponents
     p = M.p
-    size = p ** sum(exps)
-    if i >= 1 and size**i > budget:
-        raise BudgetExceeded(f"#M^i = {size}^{i} exceeds budget {budget}")
+    reps = math.prod(d + 1 for d in exps)  # orbit representatives per element
+    if i >= 1 and reps**i > budget:
+        raise BudgetExceeded(f"{reps}^{i} orbit-representative tuples exceed budget {budget}")
 
     # quotient of the zero module is trivial for any tuple
     if not exps:

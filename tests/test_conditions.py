@@ -7,7 +7,7 @@ import sympy
 
 from conftest import transformed
 from iwk import conditions
-from iwk.errors import BadReductionAtP, PostconditionFailed
+from iwk.errors import BadReductionPrime, PostconditionFailed
 from iwk.conditions import (
     CM_J_TABLE,
     Status,
@@ -51,7 +51,7 @@ def test_c2_vacuous_when_potentially_good(corpus):
 
 def test_c2_bad_reduction_at_p(corpus):
     E11 = dict(corpus)["11a1"]
-    with pytest.raises(BadReductionAtP):
+    with pytest.raises(BadReductionPrime):
         check_c2(E11, 11)
     with pytest.raises(ValueError):
         check_c2(E11, 2)
@@ -194,7 +194,7 @@ def test_c1_str_cm_cartan_oracle(monkeypatch):
         for p in (3, 5, 7, 11, 13, 17, 19):
             try:
                 E_min = conditions._require_good_odd_p(E, p)
-            except BadReductionAtP:
+            except BadReductionPrime:
                 continue
             chi = kronecker_symbol(disc, p)
             assert chi != 0, (E.ainvs, p)
@@ -348,8 +348,8 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
             for bound in (0, 60, 1000):
                 try:
                     expected = _check_c1_str_factor_first(E, p, bound).to_json_dict()
-                except BadReductionAtP:
-                    with pytest.raises(BadReductionAtP):
+                except BadReductionPrime:
+                    with pytest.raises(BadReductionPrime):
                         check_c1_str(E, p, bound)
                     continue
                 got = check_c1_str(E, p, bound).to_json_dict()

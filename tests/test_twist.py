@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+import json
 import random
+from collections import Counter
 
 import pytest
 from sympy import factorint
 
-from iwk.errors import SearchExhausted
+from iwk.errors import PostconditionFailed, SearchExhausted
 from iwk.conditions import Status, check_c2
 from iwk.ecq import EllipticCurveQ, reduction_summary
 from iwk.padic import kronecker_symbol
@@ -169,3 +173,57 @@ def test_mod8_branch_with_2_in_S():
     assert (cert.q * cert.N1_star) % 8 == 1
     cert.validate()
     assert check_c2(E_tw, 5).status == Status.HOLDS
+
+
+def _seeded_twist_run(digest) -> Counter:
+    # 400 seeded pairs (E, p), |a_i| <= 30 and p <= 13 of good reduction:
+    # every certificate, trivial or not, with its curve, p and twisted model
+    rng = random.Random(2323)
+    cases: Counter = Counter()
+    while sum(cases.values()) < 400:
+        try:
+            E = EllipticCurveQ(*(rng.randint(-30, 30) for _ in range(5)))
+        except ValueError:
+            continue
+        p = rng.choice((3, 5, 7, 11, 13))
+        if E.discriminant % p == 0:
+            continue
+        E_tw, cert = construct_c2_twist(E, p)
+        line = [list(E.ainvs), p, list(E_tw.ainvs), cert.to_json_dict()]
+        digest.update(json.dumps(line, sort_keys=True).encode() + b"\n")
+        cases[cert.mod8_case] += 1
+    return cases
+
+
+def test_seeded_twist_golden():
+    digest = hashlib.sha256()
+    cases = _seeded_twist_run(digest)
+    assert set(cases) == {
+        "trivial",
+        "2 not in S: no mod-8 constraint",
+        "2 in S1: no mod-8 constraint",
+        "2 in S outside S0 and S1: q*N1* = 1 mod 8",
+        "2 in S0: q*N1* = 5 mod 8",
+    }, cases
+    assert digest.hexdigest() == "afd5623f38a23abcc821df3160760ea90d622db923a1d568964ee6f41c327ca2"
+
+
+@pytest.mark.parametrize(
+    "ainvs, p, q, rule",
+    [
+        # S = (2, 41, 313, 16339), S0 = (16339,), S1 = (41, 313), N1* = 12833,
+        # eps_16339 = -1 and 2 outside S0 and S1; each q below is a prime that
+        # breaks exactly one rule and keeps the others
+        ((-15, 23, -18, 2, 8), 7, 73, "Legendre sign at 16339"),
+        ((-15, 23, -18, 2, 8), 7, 5, "1 mod 8"),
+        ((-15, 23, -18, 2, 8), 7, 41, "coprime to p and to S"),
+        # 11a1 at p = 7: S0 = (11,), no mod-8 constraint, and (19|11) = -1
+        ((0, -1, 1, -10, -20), 7, 19, "1 mod 4"),
+    ],
+)
+def test_validate_rejects_each_broken_rule(ainvs, p, q, rule):
+    _, cert = construct_c2_twist(EllipticCurveQ(*ainvs), p)
+    cert.validate()
+    mutant = dataclasses.replace(cert, q=q, d=q * cert.N1_star)
+    with pytest.raises(PostconditionFailed, match=rule):
+        mutant.validate()

@@ -283,8 +283,14 @@ def test_bruteforce_matches_full_element_search():
 
 
 def test_bruteforce_budget():
+    # the budget bounds R^i, R = prod (d_k + 1) orbit representatives, not #M^i:
+    # here R^2 = 5^8 = 390,625 runs although #M^2 = 3^32, and R^3 is refused
+    M = FgZpModule(3, 0, (4, 4, 4, 4))
+    assert phi_bruteforce(M, 2, budget=10**6) == phi(M, 2) == 8
     with pytest.raises(BudgetExceeded):
-        phi_bruteforce(FgZpModule(3, 0, (4, 4, 4, 4)), 2, budget=10**6)
+        phi_bruteforce(M, 3, budget=10**6)
+    with pytest.raises(BudgetExceeded):
+        phi_bruteforce(M, 2, budget=5**8 - 1)
     with pytest.raises(BudgetExceeded):
         phi_bruteforce(FgZpModule(3, 0, (1,)), 4)
     with pytest.raises(ValueError):
