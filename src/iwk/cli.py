@@ -202,87 +202,68 @@ def _cache_path(E: EllipticCurveQ) -> str:
     return os.path.join(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR), key + ".jsonl")
 
 
-def _load_cache(E_min: EllipticCurveQ, path: str) -> Dict[int, TraceRecord]:
-    """The records of the cache file at `path`; a file with corrupt lines
-    is rewritten without them."""
-    out: Dict[int, TraceRecord] = {}
+def _load_cache(E_min: EllipticCurveQ, path: str, discarded: List[int]) -> Dict[int, TraceRecord]:
+    """The records of the cache file at `path`.  Each corrupt line is warned
+    about in line order and its number appended to `discarded`; nothing is
+    written."""
     if not os.path.exists(path):
-        return out
-    entries: List[Tuple[int, object]] = []  # (line number, (ell, ap) or why it is corrupt)
+        return {}
+    rows: List[tuple] = []  # (line number, ell, ap, why it is corrupt or None)
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                entry = obj["ell"], obj["ap"]
+                ell, ap = obj["ell"], obj["ap"]
                 # int() would read 5.9 as 5, and a bool is an int
-                if any(type(v) is not int for v in (*entry, *obj["curve"])):
+                if any(type(v) is not int for v in (ell, ap, *obj["curve"])):
                     raise ValueError("ell, ap and curve must be JSON integers")
                 if tuple(obj["curve"]) != E_min.ainvs:
                     raise ValueError("curve mismatch")
+                rows.append((lineno, ell, ap, None))
             except (ValueError, KeyError, TypeError) as e:
-                entry = e
-            entries.append((lineno, entry))
+                rows.append((lineno, None, None, e))
     # one sieve up to the file's largest ell; the bound caps it for a corrupt ell
-    top = max(
-        (e[0] for _, e in entries if isinstance(e, tuple) and e[0] <= AP_PRIME_BOUND), default=0
-    )
+    top = max((ell for _, ell, _, why in rows if why is None and ell <= AP_PRIME_BOUND), default=0)
     odd_primes = set(primerange(3, top + 1))
-    discarded = False
-    for lineno, entry in entries:
-        if isinstance(entry, tuple):
-            ell, ap = entry
+    out: Dict[int, TraceRecord] = {}
+    for lineno, ell, ap, why in rows:
+        if why is None:
             if ell not in odd_primes or E_min.discriminant % ell == 0:
-                entry = f"{ell} is not an odd prime of good reduction up to {AP_PRIME_BOUND}"
+                why = f"{ell} is not an odd prime of good reduction up to {AP_PRIME_BOUND}"
             elif ap * ap > 4 * ell:
-                entry = "Hasse bound violated"
+                why = "Hasse bound violated"
             else:
                 out[ell] = TraceRecord(ell, ap)
                 continue
-        print(f"warning: discarding corrupt cache entry {path}:{lineno} ({entry})", file=sys.stderr)
-        discarded = True
-    if discarded:
-        _write_cache(E_min, path, out)
+        print(f"warning: discarding corrupt cache entry {path}:{lineno} ({why})", file=sys.stderr)
+        discarded.append(lineno)
     return out
 
 
-def _write_cache(E_min: EllipticCurveQ, path: str, records: Dict[int, TraceRecord]) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    tmp = path + f".tmp.{os.getpid()}"
-    with open(tmp, "w") as fh:
-        for ell in sorted(records):
-            rec = records[ell]
-            fh.write(
-                json.dumps(
-                    {
-                        "curve": list(E_min.ainvs),
-                        "ell": rec.prime,
-                        "ap": rec.a_ell,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-    os.replace(tmp, path)
-
-
 def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
-    """Compute and persist a_ell for all good odd ell <= bound; idempotent."""
+    """Compute and persist a_ell for all good odd ell <= bound; idempotent.
+
+    The file is written at most once, atomically: when a prime is new, a
+    corrupt line was discarded or no file exists; a clean hit writes nothing."""
     check_prime_bound(bound)
     E_min = E.minimal[0]
     path = _cache_path(E_min)
-    known = _load_cache(E_min, path)
-    disc = abs(E_min.discriminant)
-    changed = False
-    for ell in primerange(3, bound + 1):
-        if disc % ell == 0 or ell in known:
-            continue
+    discarded: List[int] = []
+    known = _load_cache(E_min, path, discarded)
+    new = [ell for ell in primerange(3, bound + 1) if E_min.discriminant % ell and ell not in known]
+    for ell in new:
         known[ell] = count_points_ap(E_min, ell)
-        changed = True
-    if changed or not os.path.exists(path):
-        _write_cache(E_min, path, known)
-    return [known[ell] for ell in sorted(known) if known[ell].prime <= bound]
+    if new or discarded or not os.path.exists(path):
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        tmp = path + f".tmp.{os.getpid()}"
+        with open(tmp, "w") as fh:
+            for ell in sorted(known):
+                row = {"curve": list(E_min.ainvs), "ell": ell, "ap": known[ell].a_ell}
+                fh.write(json.dumps(row, sort_keys=True) + "\n")
+        os.replace(tmp, path)
+    return [known[ell] for ell in sorted(known) if ell <= bound]
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +307,7 @@ def analyze_curve(
         str(ell): {
             "kind": info.kind.value,
             "potentially": info.potentially.value,
-            "twist_class_gamma": info.twist_class_gamma.value
-            if info.twist_class_gamma
-            else None,
+            "twist_class_gamma": info.twist_class_gamma.value if info.twist_class_gamma else None,
         }
         for ell, info in reduction_summary(E_min).items()
     }
@@ -396,8 +375,7 @@ def _cmd_twist(args) -> int:
     except SearchExhausted as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         return 4
-    data = {"twisted_ainvs": list(E_tw.ainvs), "certificate": cert.to_json_dict()}
-    _emit(data)
+    _emit({"twisted_ainvs": list(E_tw.ainvs), "certificate": cert.to_json_dict()})
     return 0
 
 
@@ -482,13 +460,12 @@ def _cmd_coinv(args) -> int:
 def _cmd_cache(args) -> int:
     E = parse_curve(args.curve)
     records = cache_traces(E, args.bound)
-    data = {
+    _emit({
         "curve": list(E.minimal[0].ainvs),
         "bound": args.bound,
         "cached": len(records),
         "cache_file": _cache_path(E),
-    }
-    _emit(data)
+    })
     return 0
 
 
@@ -561,15 +538,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
-        print(f"iwk: error: {e}", file=sys.stderr)
-        return 1
     except BudgetExceeded as e:
         print(f"iwk: budget exceeded: {e}", file=sys.stderr)
-        return 1
-    except IwkError as e:
+    except (ValueError, OSError, IwkError) as e:
         print(f"iwk: error: {e}", file=sys.stderr)
-        return 1
+    return 1
 
 
 if __name__ == "__main__":

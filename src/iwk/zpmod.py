@@ -293,24 +293,22 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
     0 <= v_k <= d_k (p^{d_k} being 0): prod (d_k + 1) Smith forms of
     [diag(p^d) | a_1] where every element would take p^(sum d).  The search
     recurses on the quotient's invariants, memoized for this call.
+
+    The budget bounds work: each level is charged, before it runs, its Smith
+    forms times (rows + precision); BudgetExceeded is raised past `budget`.
     """
     if not M.is_torsion:
         raise ValueError("brute force requires a torsion module")
     if i < 0:
         raise ValueError("i must be >= 0")
-    if i > 3:
-        raise BudgetExceeded("brute force supports i <= 3")
     exps = M.exponents
     p = M.p
-    reps = math.prod(d + 1 for d in exps)  # orbit representatives per element
-    if i >= 1 and reps**i > budget:
-        raise BudgetExceeded(f"{reps}^{i} orbit-representative tuples exceed budget {budget}")
-
     # quotient of the zero module is trivial for any tuple
     if not exps:
         return 0
 
     work_prec = max(exps) + 1
+    work = 0
 
     def quotient(divs: Tuple[int, ...], a: Tuple[int, ...]) -> Tuple[int, ...]:
         # nonzero SNF divisors of [diag(p^d) | a], non-decreasing; all are
@@ -325,14 +323,24 @@ def phi_bruteforce(M: FgZpModule, i: int, budget: int = 10**6) -> Valuation:
     memo = {}
 
     def search(divs: Tuple[int, ...], r: int) -> int:
+        nonlocal work
         if r == 0:
             return sum(divs)
         if (divs, r) not in memo:
+            forms = math.prod(d + 1 for d in divs)
+            work += forms * (len(divs) + work_prec)
+            if work > budget:
+                raise BudgetExceeded(
+                    f"{forms} Smith forms of {len(divs)} rows bring the brute force's work "
+                    f"to {work}, over budget {budget}"
+                )
             reps = itertools.product(*([p**v for v in range(d)] + [0] for d in divs))
             memo[divs, r] = min(search(quotient(divs, a), r - 1) for a in reps)
         return memo[divs, r]
 
-    return search(tuple(reversed(exps)), i)
+    # s elements generate M, and a quotient by one element needs at least
+    # s - 1, so no level asks for more elements than its module needs
+    return search(tuple(reversed(exps)), min(i, len(exps)))
 
 
 # ---------------------------------------------------------------------------

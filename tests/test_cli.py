@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import pathlib
 import random
 import re
 import sys
@@ -618,6 +619,102 @@ def test_cache_discards_bad_primes(tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["cached"] == 781
     ells = [json.loads(line)["ell"] for line in path.read_text().splitlines()]
     assert ells == [ell for ell in primerange(3, 6001) if ell != 5077]
+
+
+def test_cache_written_at_most_once(tmp_path, monkeypatch, capsys):
+    # a corrupt file read at a larger bound is rewritten once, without the
+    # corrupt line and with the new primes; the loader alone writes nothing,
+    # and a clean hit writes nothing either
+    monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path))
+    E = EllipticCurveQ(0, 0, 1, -7, 6)
+    cache_traces(E, 30)
+    path = next(tmp_path.iterdir())
+    with path.open("a") as fh:
+        fh.write('{"broken\n')
+    corrupt = path.read_bytes()
+    replaced = []
+    replace = os.replace
+    monkeypatch.setattr(os, "replace", lambda *args: replaced.append(args) or replace(*args))
+    discarded = []
+    loaded = cli._load_cache(E.minimal[0], str(path), discarded)
+    assert sorted(loaded) == list(primerange(3, 31)) and discarded == [10]
+    assert replaced == [] and path.read_bytes() == corrupt
+    capsys.readouterr()
+    records = cache_traces(E, 60)
+    assert len(replaced) == 1
+    assert capsys.readouterr().err.count("discarding corrupt cache entry") == 1
+    assert [r.prime for r in records] == list(primerange(3, 61))
+    assert b"broken" not in path.read_bytes()
+    assert cache_traces(E, 60) == records
+    assert len(replaced) == 1
+
+
+# SHA-256 over seeded corrupt caches of what `iwk cache` prints and leaves:
+# exit code, stdout and stderr (the cache directory's path cut out) and the
+# file's bytes, after a read of the corrupt file and after a second read
+GOLDEN_CORRUPT_CACHE_SHA256 = "d4cb049edc8bd26aead5339bff6dbd1675b7b38ae5ebf8f865721481c4aff04a"
+
+
+def _corrupt_line(rng, curve, bad):
+    """One line the trace-cache loader must discard, or (the last two kinds)
+    one it accepts although no fill wrote it."""
+    ell = rng.choice([3, 5, 7, 13, 17, 19, 23, 29, 31])
+    rec = lambda ell, ap, curve=curve: json.dumps({"curve": curve, "ell": ell, "ap": ap})
+    kinds = [
+        lambda: '{"broken',
+        lambda: "null",
+        lambda: "[1, 2]",
+        lambda: json.dumps({"curve": curve, "ell": ell}),
+        lambda: json.dumps({"ell": ell, "ap": 0}),
+        lambda: rec(9, 0),
+        lambda: rec(bad, 0),
+        lambda: rec(1000003, 0),
+        lambda: rec(-5, 0),
+        lambda: rec(2, 1),
+        lambda: rec(1, 0),
+        lambda: rec(ell + 0.5, 0),
+        lambda: rec(ell, -1.5),
+        lambda: rec(ell, 0, curve[:-1] + [float(curve[-1])]),
+        lambda: rec(True, 0),
+        lambda: rec(ell, False),
+        lambda: rec(ell, 0, [False] + curve[1:]),
+        lambda: rec(ell, 0, [0, 0, 0, 0, 1]),
+        lambda: rec(ell, 2 * int(ell**0.5) + 1),
+        lambda: "   ",
+        lambda: rec(ell, rng.choice([-1, 0, 1])),
+        lambda: rec(10007, 3),
+    ]
+    return rng.choice(kinds)()
+
+
+def test_corrupt_cache_golden(tmp_path, monkeypatch, capsys):
+    rng = random.Random(24)
+    curves = {"0,0,1,-7,6": 5077, "0,-1,1,-10,-20": 11, "0,0,1,-1,0": 37}
+    digest = hashlib.sha256()
+    for k in range(40):
+        text, bad = rng.choice(sorted(curves.items()))
+        curve = [int(a) for a in text.split(",")]
+        monkeypatch.setenv("IWK_CACHE_DIR", str(tmp_path / f"s{k}"))
+        path = pathlib.Path(cli._cache_path(parse_curve(text)))
+        lines = []
+        fill = rng.choice([None, 30, 80])
+        if fill is None:
+            path.parent.mkdir()
+        else:
+            assert main(["cache", "--curve", text, "--bound", str(fill)]) == 0
+            lines = [line for line in path.read_text().splitlines() if rng.random() < 0.8]
+        for _ in range(rng.randint(1, 6)):
+            lines.insert(rng.randint(0, len(lines)), _corrupt_line(rng, curve, bad))
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        bound = str(rng.choice([20, 50, 150]))
+        for _ in range(2):
+            code = main(["cache", "--curve", text, "--bound", bound])
+            out, err = capsys.readouterr()
+            for part in (str(code), out, err):
+                digest.update(part.replace(str(tmp_path), "").encode() + b"\0")
+            digest.update(path.read_bytes() + b"\0")
+    assert digest.hexdigest() == GOLDEN_CORRUPT_CACHE_SHA256
 
 
 def test_cache_transparency(tmp_path, monkeypatch):

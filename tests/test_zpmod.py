@@ -1,4 +1,6 @@
+import ast
 import itertools
+import os
 import random
 
 import pytest
@@ -282,17 +284,44 @@ def test_bruteforce_matches_full_element_search():
         assert phi_bruteforce(M, i) == full_element_search(M, i), (M, i)
 
 
-def test_bruteforce_budget():
-    # the budget bounds R^i, R = prod (d_k + 1) orbit representatives, not #M^i:
-    # here R^2 = 5^8 = 390,625 runs although #M^2 = 3^32, and R^3 is refused
+def _bench_partitions():
+    """bench/inputs.PARTITIONS, the exponent shapes the modules workload runs."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "inputs.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    (node,) = [n for n in tree.body if isinstance(n, ast.Assign)
+               and getattr(n.targets[0], "id", None) == "PARTITIONS"]
+    return ast.literal_eval(node.value)
+
+
+def test_bruteforce_budget(monkeypatch):
+    # the budget meters work: each level is charged, before it runs, its
+    # prod (d_k + 1) Smith forms times (rows + precision), so a runaway is
+    # refused before any Smith form is made
+    import iwk.zpmod as zpmod
+
+    smith_divisors = zpmod._smith_divisors
+    forms = []
+    monkeypatch.setattr(zpmod, "_smith_divisors", lambda *a: forms.append(a) or smith_divisors(*a))
+    for M in (FgZpModule(3, 0, (99, 99, 99)), FgZpModule(2, 0, (1,) * 19)):
+        with pytest.raises(BudgetExceeded, match="over budget 1000000"):
+            phi_bruteforce(M, 1)
+    assert forms == []
+    # #M^3 = 3^48, yet the memoized levels stay within the budget
     M = FgZpModule(3, 0, (4, 4, 4, 4))
-    assert phi_bruteforce(M, 2, budget=10**6) == phi(M, 2) == 8
+    assert phi_bruteforce(M, 2) == phi(M, 2) == 8
+    assert phi_bruteforce(M, 3) == phi(M, 3) == 4
+    # its first level alone is 5^4 forms of 4 rows at precision 5
     with pytest.raises(BudgetExceeded):
-        phi_bruteforce(M, 3, budget=10**6)
-    with pytest.raises(BudgetExceeded):
-        phi_bruteforce(M, 2, budget=5**8 - 1)
-    with pytest.raises(BudgetExceeded):
-        phi_bruteforce(FgZpModule(3, 0, (1,)), 4)
+        phi_bruteforce(M, 1, budget=5**4 * 9 - 1)
+    assert phi_bruteforce(M, 1, budget=5**4 * 9) == phi(M, 1)
+    # len(divs) elements generate M, so a larger i searches no deeper
+    assert phi_bruteforce(FgZpModule(7, 0, (3, 1)), 5000) == 0
+    # every shape the benchmark brute-forces runs at the default budget
+    for p, shapes in _bench_partitions().items():
+        for exps in shapes:
+            for i in range(3):
+                assert phi_bruteforce(FgZpModule(p, 0, exps), i) == phi(FgZpModule(p, 0, exps), i)
     with pytest.raises(ValueError):
         phi_bruteforce(FgZpModule(3, 1, (1,)), 0)
 
