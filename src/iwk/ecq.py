@@ -332,10 +332,19 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
 def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
     """Twist by squarefree d through the short model, re-minimalized; it keeps E's j.
 
-    Only d is factored: the short model's Delta, 6^12 d^6 Delta_E, has primes 2, 3, E's, d's.
+    The short model's Delta, 6^12 d^6 Delta_E, has primes 2, 3, E's and d's.  E's
+    primes are divided out of d, and only the part of d prime to Delta_E is factored.
     """
-    d_primes = factorint(abs(d)) if d else {}
-    if d == 0 or any(e > 1 for e in d_primes.values()):
+    if d == 0:
+        raise ValueError("twist parameter must be squarefree and nonzero")
+    rest, d_primes = abs(d), {}
+    for ell in E.bad_primes:
+        while rest % ell == 0:
+            rest //= ell
+            d_primes[ell] = d_primes.get(ell, 0) + 1
+    if rest > 1:
+        d_primes.update(factorint(rest))
+    if any(e > 1 for e in d_primes.values()):
         raise ValueError("twist parameter must be squarefree and nonzero")
     twisted = EllipticCurveQ(0, 0, 0, -27 * E.c4 * d * d, -54 * E.c6 * d**3)
     if twisted.discriminant != 6**12 * d**6 * E.discriminant:

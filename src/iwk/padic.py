@@ -10,7 +10,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Set, Union
 
 from .errors import IwkError, PostconditionFailed
 
@@ -148,15 +148,20 @@ def _rho_divisor(n: int) -> Optional[int]:
     return None
 
 
+# Every prime that factorint's `isprime` gate has certified in this process;
+# `_check_prime` does not test these again.
+_CERTIFIED: Set[int] = set()
+
+
 def factorint(n: int) -> Dict[int, int]:
     """Prime factorization {prime: exponent} of n >= 1, in three stages.
 
     sympy's factorint trial-divides to _TRIAL_LIMIT; this call is the one
     that imports sympy.  A factor enters the result only once `isprime`
-    certifies it; Pollard-Brent rho splits every other one, and one that it
-    cannot split within _RHO_BUDGET iterations goes to sympy's factorint
-    whole.  PostconditionFailed is raised if a prime sympy returns fails
-    `isprime`, or if the prime powers do not multiply back to n.
+    certifies it, and joins _CERTIFIED; Pollard-Brent rho splits every other
+    one, and one that it cannot split within _RHO_BUDGET iterations goes to
+    sympy's factorint whole.  PostconditionFailed is raised if a prime sympy
+    returns fails `isprime`, or if the prime powers do not multiply back to n.
     """
     if n < 1:
         raise ValueError("factorint requires n >= 1")
@@ -165,6 +170,7 @@ def factorint(n: int) -> Dict[int, int]:
     while pending:
         m, e = pending.pop()
         if isprime(m):
+            _CERTIFIED.add(m)
             out[m] = out.get(m, 0) + e
             continue
         d = _rho_divisor(m)
@@ -174,6 +180,7 @@ def factorint(n: int) -> Dict[int, int]:
         for q, f in sympy.factorint(m).items():
             if not isprime(q):
                 raise PostconditionFailed(f"sympy's factorint({m}) returned the composite {q}")
+            _CERTIFIED.add(q)
             out[q] = out.get(q, 0) + e * f
     if math.prod(q**e for q, e in out.items()) != n:
         raise PostconditionFailed(f"factorint({n}) returned {out}")
@@ -182,7 +189,10 @@ def factorint(n: int) -> Dict[int, int]:
 
 @functools.lru_cache(maxsize=None)
 def _check_prime(p: int) -> None:
-    if not isprime(p):
+    """ValueError unless p is prime.  A prime that factorint has certified is
+    not tested again; the cache keeps every later check of p in C, and a
+    composite, which raises, is never cached."""
+    if p not in _CERTIFIED and not isprime(p):
         raise ValueError(f"{p} is not prime")
 
 

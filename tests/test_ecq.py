@@ -191,6 +191,17 @@ def test_twist_preserves_j(corpus):
             assert quadratic_twist(E, d).j_invariant == E.j_invariant
 
 
+def test_twist_rejects_zero_and_square_factors(corpus):
+    curves = dict(corpus)
+    E11, E5077 = curves["11a1"], curves["5077a1"]
+    # 11^2 * 5 squares a prime of Delta_E = -11^5, 12 squares a new prime
+    for E, d in ((E11, 11**2 * 5), (E11, -(11**3)), (E5077, 12), (E5077, 0)):
+        with pytest.raises(ValueError, match="squarefree"):
+            quadratic_twist(E, d)
+    for d in (1, -1, 11, -55):
+        assert quadratic_twist(E11, d).j_invariant == E11.j_invariant
+
+
 def test_twist_checks_j_for_every_d(monkeypatch):
     # the twist takes E's j-denominator primes, so a changed j must not get through
     E = EllipticCurveQ(0, -1, 1, -10, -20)  # 11a1

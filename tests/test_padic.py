@@ -44,6 +44,10 @@ def test_ord_additivity():
 def test_ord_requires_prime():
     with pytest.raises(ValueError):
         ord_p(10, 6)
+    # a composite is never cached as checked, so it raises on every call
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ord_p(7, 91)
 
 
 def test_kronecker_examples():
@@ -267,3 +271,20 @@ def test_factorint_postcondition(monkeypatch):
     monkeypatch.setattr(padic, "isprime", lambda n: n != 1009 and isprime(n))
     with pytest.raises(PostconditionFailed, match="composite 1009"):
         padic.factorint(3 * 1009)
+
+
+def test_factorint_certificates_serve_ord_p(monkeypatch):
+    # ord_p does not test again a prime that factorint has certified, and a
+    # prime it has checked before is an lru_cache hit
+    calls = []
+    isprime = padic.isprime
+    monkeypatch.setattr(padic, "isprime", lambda n: calls.append(n) or isprime(n))
+    P2, P1 = sympy.nextprime(10**5 + 2025), sympy.nextprime(10**13 + 2025)
+    assert padic.factorint(6 * P2 * P1) == {2: 1, 3: 1, P2: 1, P1: 1}
+    assert calls.count(P2) == calls.count(P1) == 1
+    calls.clear()
+    assert ord_p(P1 * P2**2, P2) == 2 and ord_p(P1, P1) == 1
+    assert calls == []
+    hits = padic._check_prime.cache_info().hits
+    assert ord_p(P2, P2) == 1 and ord_p(P1**3, P1) == 3
+    assert padic._check_prime.cache_info().hits == hits + 2 and calls == []

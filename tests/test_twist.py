@@ -7,6 +7,8 @@ from collections import Counter
 import pytest
 from sympy import factorint
 
+from iwk import padic
+from iwk.cli import analyze_curve
 from iwk.errors import PostconditionFailed, SearchExhausted
 from iwk.conditions import Status, check_c2
 from iwk.ecq import EllipticCurveQ, reduction_summary
@@ -52,6 +54,29 @@ def test_11a1_p7_split_prime_with_empty_S1(corpus):
     assert kronecker_symbol(cert.q, 11) == -1
     cert.validate()
     assert check_c2(E_tw, 7).status == Status.HOLDS
+
+
+def test_twist_splits_and_certifies_no_prime_of_E_again(monkeypatch):
+    # a curve of the benchmark's bigdisc shape (bench/inputs.py): Delta =
+    # -2^4 * 11 * 193 * 16493 * P2 * P1 with P2 in [10^5, 10^6], past trial
+    # division; at p = 17 every prime of S lands in S1, so d = 5 * N1*
+    # carries P2 and P1
+    E = EllipticCurveQ(0, 0, 0, 348181972, -3956262793935)
+    P2, P1 = 284407, 59391595918579
+    rho, tested = [], []
+    rho_divisor, isprime = padic._rho_divisor, padic.isprime
+    monkeypatch.setattr(padic, "_rho_divisor", lambda n: rho.append(n) or rho_divisor(n))
+    monkeypatch.setattr(padic, "isprime", lambda n: tested.append(n) or isprime(n))
+    analyze_curve(E, 17, ap_bound=10**4, mu=0, lam=1, rank=1, label="big4")
+    # factorint's gate certifies each prime of Delta once, with rho's help
+    assert rho and tested.count(P2) == tested.count(P1) == 1
+    rho.clear()
+    E_tw, cert = construct_c2_twist(E, 17)
+    assert cert.q == 5 and cert.d % (P2 * P1) == 0
+    # the twist factors only q, which trial division splits, and no prime
+    # check of the twisted curve's valuations tests P2 or P1 again
+    assert rho == [] and tested.count(P2) == tested.count(P1) == 1
+    assert E_tw.j_invariant == E.j_invariant and P1 in E_tw.bad_primes
 
 
 def test_search_exhausted(corpus):
