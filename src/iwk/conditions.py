@@ -3,20 +3,24 @@
 The local-torsion condition is decided exactly; the CM condition is a table
 lookup on exact j-invariants.  The big-image condition is tested through
 trace witnesses ruling out every maximal-subgroup class of GL_2(F_p).  It
-has two negative certificates: a split division polynomial psi_p (p <= 7),
-and CM, whose mod-p image lies in the normalizer of a Cartan subgroup
-(Serre 1972, section 4).  psi_p is factored only when the primes below
-_SCAN_BEFORE_FACTOR leave a class open: a surjective image acts
-transitively on the x-coordinates of E[p] - 0, so psi_p is irreducible
-whenever the scan reaches HOLDS, and every verdict is the one factoring
-first would give.  The CM certificate is read after that step, so the scan
-goes on to the prime bound only for non-CM curves.
+has three negative certificates, read in this order once the primes below
+_SCAN_BEFORE_FACTOR leave a class open: CM, whose mod-p image lies in the
+normalizer of a Cartan subgroup (Serre 1972, section 4); for p <= 7 a
+rational point on X_0(p) over j, which is a rational p-isogeny; and for
+p <= 7 a split division polynomial psi_p, factored only when neither of
+the others decides.  A surjective image acts transitively on the
+x-coordinates of E[p] - 0, so psi_p is irreducible whenever the scan
+reaches HOLDS; a CM curve FAILS whichever certificate is read first, and
+a rational p-isogeny splits psi_p.  So every status is the one that
+factoring psi_p before reading CM gives, and only a non-CM curve's scan
+goes on to the prime bound.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadReductionPrime, PostconditionFailed
@@ -131,8 +135,9 @@ _WITNESS_CLASSES = (
 )
 
 DEFAULT_PRIME_BOUND = 10**4
-# Primes scanned before psi_p is factored (p <= 7).  Every HOLDS verdict seen
-# on the corpus and on seeded random curves had its last witness by 67.
+# Primes scanned before the negative certificates are read: CM, then for
+# p <= 7 a point on X_0(p), then psi_p.  Every HOLDS verdict seen on the
+# corpus and on seeded random curves had its last witness by 67.
 _SCAN_BEFORE_FACTOR = 128
 
 
@@ -164,8 +169,9 @@ def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int
     splits; None when it is irreducible (a full-orbit certificate).
 
     check_c1_str calls this only after the primes below _SCAN_BEFORE_FACTOR
-    leave a class open: a HOLDS verdict implies an irreducible psi_p, so
-    factoring it then would add nothing.
+    leave a class open and neither CM nor a point on X_0(p) decides: a HOLDS
+    verdict implies an irreducible psi_p, so factoring it then would add
+    nothing, and either of the other certificates gives FAILS by itself.
     """
     A, B = -27 * E_min.c4, -54 * E_min.c6
     poly = _division_polynomial_x(A, B, p)
@@ -174,6 +180,96 @@ def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int
     if len(degrees) == 1 and degrees[0] == (p * p - 1) // 2:
         return None
     return degrees
+
+
+# X_0(p) -> X(1) is j = N(t)/t on a Hauptmodul t (Maier, J. Ramanujan Math.
+# Soc. 24 (2009)); N on integer coefficient lists, lowest degree first.
+_X0_NUMERATOR = {
+    3: poly_mul([27, 1], poly_mul([3, 1], poly_mul([3, 1], [3, 1]))),
+    5: poly_mul([5, 10, 1], poly_mul([5, 10, 1], [5, 10, 1])),
+    7: poly_mul([49, 13, 1], poly_mul([1, 5, 1], poly_mul([1, 5, 1], [1, 5, 1]))),
+}
+# _x0_point looks below this for a prime at which its roots mod ell are simple.
+_X0_PRIME_CAP = 2**12
+
+
+def _poly_eval(f: List[int], x):
+    value = 0
+    for c in reversed(f):
+        value = value * x + c
+    return value
+
+
+def _rational_reconstruction(r: int, m: int, H: int) -> Fraction:
+    """The a/b with |a| <= H and a = b r mod m that the extended Euclidean
+    algorithm on (m, r) gives; the only such one with 0 < b <= H when
+    m > 2 H^2 (von zur Gathen and Gerhard, Modern Computer Algebra, 5.10)."""
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > H:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return Fraction(r1, s1)
+
+
+def _x0_point(j: Fraction, p: int) -> Optional[Fraction]:
+    """The rational t with N(t)/t = j on X_0(p) (p = 3, 5, 7) of least |t|,
+    then least t; None when there is none.  For j != 0, 1728 (both CM).
+
+    With j = n/d, a root a/b in lowest terms of F(t) = d N(t) - n t has
+    b | d and |a| <= |d N(0)| = H.  F(0) != 0, so t = 0 never occurs.  F is
+    squarefree, since X_0(p) -> X(1) ramifies only above 0, 1728 and the
+    cusp, so some prime ell not dividing d has only simple roots of F mod
+    ell; each of them is lifted by Newton's method to a modulus above
+    2 H^2, reconstructed, and kept only if F vanishes on it exactly.
+    PostconditionFailed if no prime below _X0_PRIME_CAP will do.
+    """
+    n, d = j.numerator, j.denominator
+    F = [d * c for c in _X0_NUMERATOR[p]]
+    F[1] -= n
+    dF = [i * c for i, c in enumerate(F)][1:]
+    H = abs(F[0])
+    for ell in primerange(2, _X0_PRIME_CAP):
+        if d % ell == 0:
+            continue
+        roots = [r for r in range(ell) if _poly_eval(F, r) % ell == 0]
+        if any(_poly_eval(dF, r) % ell == 0 for r in roots):
+            continue
+        points = []
+        for r in roots:
+            m = ell
+            while m <= 2 * H * H:
+                m *= m
+                r = (r - _poly_eval(F, r) * pow(_poly_eval(dF, r), -1, m)) % m
+            t = _rational_reconstruction(r, m, H)
+            if _poly_eval(F, t) == 0:
+                points.append(t)
+        return min(points, key=lambda t: (abs(t), t), default=None)
+    raise PostconditionFailed(
+        f"no prime below {_X0_PRIME_CAP} has only simple roots of X_0({p}) over j = {j}"
+    )
+
+
+def _negative_certificate(E_min: EllipticCurveQ, p: int) -> Optional[Tuple[int, str]]:
+    """The FAILS witness of the first certificate of a non-surjective image
+    mod p that applies: CM, then for p <= 7 a point on X_0(p), then a split
+    psi_p; None when none does."""
+    cm = cm_order(E_min)
+    if cm is not None:
+        disc = cm[0]
+        kind = {1: "split", -1: "nonsplit"}.get(kronecker_symbol(disc, p))
+        if kind is None:
+            # CM curves over Q are bad at the primes ramified in their field
+            raise PostconditionFailed(f"CM discriminant {disc} is divisible by the good prime {p}")
+        return p, f"CM by discriminant {disc}: image in the normalizer of the {kind} Cartan"
+    if p > 7:
+        return None
+    t = _x0_point(E_min.j_invariant, p)
+    if t is not None:
+        return p, f"rational {p}-isogeny: X_0({p}) point t = {t}"
+    degrees = _division_poly_reducible(E_min, p)
+    if degrees is not None:
+        return p, f"division polynomial factors with degrees {degrees}"
+    return None
 
 
 def _scan_traces(E_min: EllipticCurveQ, p: int, found: Dict, lo: int, hi: int) -> None:
@@ -211,12 +307,14 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     exceptional projective images.  The determinant is onto via the
     cyclotomic character, so full coverage certifies surjectivity mod p.
 
-    For p <= 7 a split psi_p gives FAILS; it is factored only when the
-    primes below _SCAN_BEFORE_FACTOR (or the whole bound, if smaller) leave
-    a class open.  A CM curve then FAILS: its image lies in the normalizer
-    of the Cartan subgroup (O/pO)^x, split when (D/p) = 1 and nonsplit when
-    (D/p) = -1, of order at most 2(p^2 - 1).  Only a non-CM curve's scan
-    goes on to prime_bound, which must lie in [0, AP_PRIME_BOUND].
+    When the primes below _SCAN_BEFORE_FACTOR (or the whole bound, if
+    smaller) leave a class open, _negative_certificate is read.  A CM curve
+    FAILS: its image lies in the normalizer of the Cartan subgroup
+    (O/pO)^x, split when (D/p) = 1 and nonsplit when (D/p) = -1, of order
+    at most 2(p^2 - 1).  For p <= 7 a rational point on X_0(p) over j, a
+    rational p-isogeny, gives FAILS, and failing that a split psi_p.  Only
+    a non-CM curve's scan goes on to prime_bound, which must lie in
+    [0, AP_PRIME_BOUND].
     """
     check_prime_bound(prime_bound)
     E_min = _require_good_odd_p(E, p)
@@ -230,26 +328,10 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
 
     first_hi = min(prime_bound + 1, _SCAN_BEFORE_FACTOR)
     _scan_traces(E_min, p, found, 3, first_hi)
-    if p <= 7 and not all(found.values()):
-        degrees = _division_poly_reducible(E_min, p)
-        if degrees is not None:
-            return Verdict(
-                Status.FAILS,
-                ((p, f"division polynomial factors with degrees {degrees}"),),
-                params,
-            )
-    cm = cm_order(E_min)
-    if cm is not None:
-        disc = cm[0]
-        kind = {1: "split", -1: "nonsplit"}.get(kronecker_symbol(disc, p))
-        if kind is None:
-            # CM curves over Q are bad at the primes ramified in their field
-            raise PostconditionFailed(f"CM discriminant {disc} is divisible by the good prime {p}")
-        return Verdict(
-            Status.FAILS,
-            ((p, f"CM by discriminant {disc}: image in the normalizer of the {kind} Cartan"),),
-            params,
-        )
+    if not all(found.values()):
+        witness = _negative_certificate(E_min, p)
+        if witness is not None:
+            return Verdict(Status.FAILS, (witness,), params)
     _scan_traces(E_min, p, found, first_hi, prime_bound + 1)
     if all(found.values()):
         witnesses = tuple(

@@ -1,5 +1,5 @@
-"""Shared fixtures: a corpus of small standard curves, and the naive point
-counts that serve as oracles.
+"""Shared fixtures: a corpus of small standard curves, the naive point
+counts that serve as oracles, and the oracles for an X_0(p) witness.
 
 Labels follow the usual tables; every fact the tests assert about these
 curves is computed (and cross-checked) by the package itself, except the
@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from iwk import conditions
 from iwk.ecq import EllipticCurveQ
 from iwk.errors import BadReductionPrime
 
@@ -84,3 +85,31 @@ def trace_naive(E, ell):
     if E.discriminant % ell == 0:
         raise BadReductionPrime(f"{ell} divides the discriminant")
     return ell + 1 - count_points_naive(E, ell)
+
+
+# j = N(t)/t on X_0(p), written out apart from iwk.conditions' coefficient lists
+X0_NUMERATOR = {
+    3: lambda t: (t + 27) * (t + 3) ** 3,
+    5: lambda t: (t * t + 10 * t + 5) ** 3,
+    7: lambda t: (t * t + 13 * t + 49) * (t * t + 5 * t + 1) ** 3,
+}
+
+
+def x0_witness_point(p, detail):
+    """t of an X_0(p) witness text; AssertionError if it is not one."""
+    prefix = f"rational {p}-isogeny: X_0({p}) point t = "
+    assert detail.startswith(prefix), detail
+    return Fraction(detail[len(prefix):])
+
+
+def assert_x0_witness(E_min, p, detail):
+    """An X_0(p) witness against its two oracles: N(t) = j t exactly, and a
+    factor of psi_p of degree (p - 1)/2, the kernel polynomial of the
+    rational p-isogeny that the point stands for."""
+    t = x0_witness_point(p, detail)
+    assert t != 0 and X0_NUMERATOR[p](t) == E_min.j_invariant * t, (E_min.ainvs, p, t)
+    psi = conditions._division_polynomial_x(-27 * E_min.c4, -54 * E_min.c6, p)
+    sums = {0}
+    for f, _ in psi.factor_list()[1]:
+        sums |= {s + f.degree() for s in sums}
+    assert (p - 1) // 2 in sums, (E_min.ainvs, p)

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from sympy import primerange
 
-from conftest import CORPUS, transformed
+from conftest import CORPUS, assert_x0_witness, transformed
 from iwk import cli, conditions, ecq, twist
 from iwk.cli import (
     CurveRecord,
@@ -192,9 +192,10 @@ def test_report_determinism(capsys):
 
 
 # SHA-256 of the reports below, with CM curves failing C1_str by their
-# Cartan certificate; any change to the report bytes must change this value
-# on purpose.
-GOLDEN_CORPUS_SHA256 = "c20366daded4e384f62f0147e2bcf772fc9e9b0a6de5661313767fbe9917e9af"
+# Cartan certificate and curves with a rational p-isogeny (p <= 7) by their
+# X_0(p) point; any change to the report bytes must change this value on
+# purpose.
+GOLDEN_CORPUS_SHA256 = "ccce62404a25b71f22773504e43cc01ff0bd8a9b8828d39fc69127147d5d59a2"
 
 
 def _golden_run(digest) -> int:
@@ -274,6 +275,38 @@ def test_each_prime_classified_once(monkeypatch):
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
     # 114 (curve object, ell) at 581 calls before the classification was kept
     assert len(calls) > 100 and max(calls.values()) == 1, sum(calls.values())
+
+
+def test_psi_p_factored_only_where_no_certificate_decides(monkeypatch):
+    # over the golden run psi_p is factored only for the seven non-CM pairs
+    # at p = 3 without a point on X_0(3), which end INCONCLUSIVE; at p = 5
+    # and 7 CM or an X_0(p) point decides every pair the scan leaves open.
+    # Each X_0(p) witness passes its oracles.
+    factored, x0_witnesses = [], []
+    reducible, certificate = conditions._division_poly_reducible, conditions._negative_certificate
+
+    def counting_reducible(E_min, p):
+        factored.append((E_min.ainvs, p))
+        return reducible(E_min, p)
+
+    def recording_certificate(E_min, p):
+        witness = certificate(E_min, p)
+        if witness is not None and "X_0(" in witness[1]:
+            x0_witnesses.append((E_min, p, witness[1]))
+        return witness
+
+    monkeypatch.setattr(conditions, "_division_poly_reducible", counting_reducible)
+    monkeypatch.setattr(conditions, "_negative_certificate", recording_certificate)
+    digest = hashlib.sha256()
+    assert _golden_run(digest) == 93
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+    inconclusive = ("11a1", "11a3", "17a1", "26b1", "37a1", "389a1", "5077a1")
+    # 29 factorizations, 14 of them at p = 5 and 7, when psi_p came before
+    # CM and X_0(p)
+    assert sorted(factored) == sorted((dict(CORPUS)[label], 3) for label in inconclusive)
+    assert len(x0_witnesses) == 8
+    for E_min, p, detail in x0_witnesses:
+        assert_x0_witness(E_min, p, detail)
 
 
 def test_each_curve_factored_once(monkeypatch):

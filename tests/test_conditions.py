@@ -1,11 +1,13 @@
 import functools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
-from conftest import transformed
+from conftest import X0_NUMERATOR, assert_x0_witness, transformed, x0_witness_point
 from iwk import conditions
 from iwk.errors import BadReductionPrime, PostconditionFailed
 from iwk.conditions import (
@@ -105,7 +107,7 @@ def test_c1_str_seven_isogeny_fails():
     E = EllipticCurveQ(1, -1, 1, -3, 3)  # rational 7-isogeny
     v = check_c1_str(E, 7)
     assert v.status == Status.FAILS
-    assert "division polynomial" in v.witnesses[0][1]
+    assert v.witnesses == ((7, "rational 7-isogeny: X_0(7) point t = -13/2"),)
 
 
 def test_c1_str_zero_budget(e5077):
@@ -204,11 +206,9 @@ def test_c1_str_cm_cartan_oracle(monkeypatch):
             assert found[f"{cls}_cartan_normalizer"] is None, (E.ainvs, p)
             v = check_c1_str(E, p)
             assert v.status == Status.FAILS, (E.ainvs, p)
-            detail = v.witnesses[0][1]
-            if not detail.startswith("division polynomial"):
-                assert detail == (
-                    f"CM by discriminant {disc}: image in the normalizer of the {cls} Cartan"
-                ), (E.ainvs, p)
+            assert v.witnesses == (
+                (p, f"CM by discriminant {disc}: image in the normalizer of the {cls} Cartan"),
+            ), (E.ainvs, p)
             pairs += 1
     assert pairs == 224
 
@@ -326,7 +326,9 @@ def _check_c1_str_factor_first(E, p, prime_bound):
 def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
     # a HOLDS verdict means a surjective image, which is transitive on the
     # x-coordinates of E[p] - 0, so psi_p is irreducible there: scanning
-    # before factoring cannot change any verdict.  Both sides share one
+    # before factoring cannot change any verdict.  A CM curve FAILS either
+    # way and a point on X_0(p) splits psi_p, so reading them first changes
+    # only the witness of a FAILS verdict.  Both sides share one
     # factorization of each psi_p.
     monkeypatch.setattr(
         conditions, "_division_poly_reducible",
@@ -343,6 +345,7 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
             continue
     seen = set()
     cm_decided = 0
+    rewitnessed = Counter()
     for E in curves:
         for p in (3, 5, 7):
             for bound in (0, 60, 1000):
@@ -362,8 +365,121 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
                         f"CM by discriminant {cm[0]}: image in the normalizer of the "
                     ), (E.ainvs, p, bound)
                     cm_decided += 1
-                else:
-                    assert got == expected, (E.ainvs, p, bound)
+                elif got != expected:
+                    # the same FAILS verdict and budget, with a CM or an X_0(p)
+                    # witness in place of the split psi_p
+                    assert expected["status"] == "FAILS", (E.ainvs, p, bound)
+                    assert {**got, "witnesses": None} == {**expected, "witnesses": None}
+                    assert expected["witnesses"][0]["detail"].startswith("division polynomial")
+                    [witness] = got["witnesses"]
+                    assert witness["prime"] == p
+                    if cm is not None:
+                        assert witness["detail"].startswith(f"CM by discriminant {cm[0]}: ")
+                        rewitnessed["CM"] += 1
+                    else:
+                        t = conditions._x0_point(E.j_invariant, p)
+                        assert witness["detail"] == f"rational {p}-isogeny: X_0({p}) point t = {t}"
+                        rewitnessed["X_0"] += 1
                 seen.add(expected["status"])
     assert seen == {"HOLDS", "FAILS", "INCONCLUSIVE"}
-    assert cm_decided
+    assert cm_decided and rewitnessed["CM"] and rewitnessed["X_0"], rewitnessed
+
+
+# ---------------------------------------------------------------------------
+# Points on X_0(p) against psi_p and against the curves they are built from.
+
+
+def test_x0_witness_oracle_seeded():
+    # every X_0(p) witness on seeded small curves satisfies N(t) = j t and
+    # has the kernel polynomial of its p-isogeny among the factors of psi_p
+    rng = random.Random(20261020)
+    curves = []
+    while len(curves) < 300:
+        try:
+            curves.append(EllipticCurveQ(*(rng.randint(-3, 3) for _ in range(5))))
+        except ValueError:
+            continue
+    witnesses = Counter()
+    for E in curves:
+        for p in (3, 5, 7):
+            try:
+                v = check_c1_str(E, p, 127)
+            except BadReductionPrime:
+                continue
+            detail = v.witnesses[0][1] if v.status == Status.FAILS else ""
+            if "X_0(" in detail:
+                assert_x0_witness(E.minimal[0], p, detail)
+                witnesses[p] += 1
+    assert witnesses[3] >= 10 and witnesses[5] >= 1, witnesses
+
+
+def _x0_family(p):
+    """(t, curve) for t = a/b with 0 < |a| <= 12, b <= 3 on X_0(p), j = N(t)/t
+    not 0: y^2 = x^3 - 3j(j - 1728)x - 2j(j - 1728)^2 with denominators
+    cleared, twisted by the first d in (1, -1, 2, -2, 3, -3, 6, -6) whose
+    minimal model is good at p; t is skipped when there is none."""
+    for b in (1, 2, 3):
+        for a in range(-12, 13):
+            t = Fraction(a, b)
+            if a == 0 or gcd(a, b) != 1 or X0_NUMERATOR[p](t) == 0:
+                continue
+            j = X0_NUMERATOR[p](t) / t
+            n, d = j.numerator, j.denominator
+            k = n * (n - 1728 * d)
+            E = EllipticCurveQ(0, 0, 0, -3 * k * d**2, -2 * k * (n - 1728 * d) * d**3)
+            assert E.j_invariant == j
+            for tw in (1, -1, 2, -2, 3, -3, 6, -6):
+                E_tw = E if tw == 1 else quadratic_twist(E, tw)
+                if E_tw.minimal[0].discriminant % p:
+                    yield t, E_tw
+                    break
+
+
+def test_x0_family_oracle():
+    # a curve built from a point of X_0(p) has a rational p-isogeny, so it
+    # FAILS with an X_0(p) witness: a point over its j of least |t|
+    good = Counter()
+    for p in (3, 5, 7):
+        for t, E in _x0_family(p):
+            v = check_c1_str(E, p, 127)
+            assert v.status == Status.FAILS and len(v.witnesses) == 1, (t, p, v)
+            u = x0_witness_point(p, v.witnesses[0][1])
+            assert X0_NUMERATOR[p](u) == E.j_invariant * u, (t, p, u)
+            assert (abs(u), u) <= (abs(t), t), (t, p, u)
+            good[p] += 1
+    # 24, 32 and 38 of the points give a curve good at p
+    assert min(good[p] for p in (3, 5, 7)) >= 20, good
+
+
+def test_x0_point_raises_without_a_separating_prime(monkeypatch):
+    # at j = 0, F = (t + 27)(t + 3)^3 on X_0(3): -3 is a repeated root mod
+    # every prime, so none will do, and with no prime below the cap the
+    # search raises for any j; it never returns a silent None
+    monkeypatch.setattr(conditions, "_X0_PRIME_CAP", 50)
+    with pytest.raises(PostconditionFailed):
+        conditions._x0_point(Fraction(0), 3)
+    monkeypatch.setattr(conditions, "_X0_PRIME_CAP", 2)
+    with pytest.raises(PostconditionFailed):
+        conditions._x0_point(Fraction(-2146689, 1664), 7)
+
+
+def test_x0_point_needs_no_sympy():
+    # the root finder lifts roots mod a small prime: no integer is factored,
+    # which would load sympy for its trial division
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "from iwk.conditions import _x0_point\n"
+        "assert _x0_point(Fraction(-2146689, 1664), 7) == Fraction(-13, 2)\n"
+        "assert _x0_point(Fraction(-122023936, 161051), 5) == Fraction(-1, 11)\n"
+        "assert _x0_point(Fraction(-1, 1), 3) is None\n"
+        "assert 'sympy' not in sys.modules\n"
+    )
+    src = os.path.dirname(os.path.dirname(conditions.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
