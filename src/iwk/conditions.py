@@ -203,7 +203,7 @@ def _poly_eval(f: List[int], x):
 def _rational_reconstruction(r: int, m: int, H: int) -> Fraction:
     """The a/b with |a| <= H and a = b r mod m that the extended Euclidean
     algorithm on (m, r) gives; the only such one with 0 < b <= H when
-    m > 2 H^2 (von zur Gathen and Gerhard, Modern Computer Algebra, 5.10)."""
+    m > 2 H^2 (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5)."""
     r0, r1, s0, s1 = m, r, 0, 1
     while r1 > H:
         q = r0 // r1
