@@ -8,7 +8,8 @@ _SCAN_BEFORE_FACTOR leave a class open: CM, whose mod-p image lies in the
 normalizer of a Cartan subgroup (Serre 1972, section 4); for p <= 7 a
 rational point on X_0(p) over j, which is a rational p-isogeny; and for
 p <= 7 a split division polynomial psi_p, factored only when neither of
-the others decides.  A surjective image acts transitively on the
+the others decides and, at p = 3, Delta is a cube: otherwise psi_3 is
+irreducible, so no witness.  A surjective image acts transitively on the
 x-coordinates of E[p] - 0, so psi_p is irreducible whenever the scan
 reaches HOLDS; a CM curve FAILS whichever certificate is read first, and
 a rational p-isogeny splits psi_p.  So every status is the one that
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import BadReductionPrime, PostconditionFailed
 from .iwasawa import poly_mul
-from .padic import isprime, kronecker_symbol, multiplicative_order, ord_p, primerange, sympy
+from .padic import _iroot, isprime, kronecker_symbol, multiplicative_order, ord_p, primerange, sympy
 from .ecq import (
     EllipticCurveQ,
     ReductionKind,
@@ -169,9 +170,11 @@ def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int
     splits; None when it is irreducible (a full-orbit certificate).
 
     check_c1_str calls this only after the primes below _SCAN_BEFORE_FACTOR
-    leave a class open and neither CM nor a point on X_0(p) decides: a HOLDS
-    verdict implies an irreducible psi_p, so factoring it then would add
-    nothing, and either of the other certificates gives FAILS by itself.
+    leave a class open and neither CM nor a point on X_0(p) decides, nor at
+    p = 3 a Delta that is not a cube: a HOLDS verdict implies an irreducible
+    psi_p, so factoring it then would add nothing, either of the other
+    certificates gives FAILS by itself, and the cube test proves psi_3
+    irreducible.
     """
     A, B = -27 * E_min.c4, -54 * E_min.c6
     poly = _division_polynomial_x(A, B, p)
@@ -252,7 +255,8 @@ def _x0_point(j: Fraction, p: int) -> Optional[Fraction]:
 def _negative_certificate(E_min: EllipticCurveQ, p: int) -> Optional[Tuple[int, str]]:
     """The FAILS witness of the first certificate of a non-surjective image
     mod p that applies: CM, then for p <= 7 a point on X_0(p), then a split
-    psi_p; None when none does."""
+    psi_p, factored at p = 3 only when Delta is a cube; None when none
+    does."""
     cm = cm_order(E_min)
     if cm is not None:
         disc = cm[0]
@@ -266,6 +270,14 @@ def _negative_certificate(E_min: EllipticCurveQ, p: int) -> Optional[Tuple[int, 
     t = _x0_point(E_min.j_invariant, p)
     if t is not None:
         return p, f"rational {p}-isogeny: X_0({p}) point t = {t}"
+    disc = abs(E_min.discriminant)
+    if p == 3 and _iroot(disc, 3) ** 3 != disc:
+        # No point on X_0(3) leaves psi_3 no rational root, so it splits at
+        # most 2 + 2, which puts the image in the normalizer of a split
+        # Cartan, and projectively in that of the nonsplit one; then
+        # j = c4^3 / Delta is a cube (Zywina, arXiv:1508.07660, Thm 1.2),
+        # and so is Delta.  So psi_3 is irreducible here.
+        return None
     degrees = _division_poly_reducible(E_min, p)
     if degrees is not None:
         return p, f"division polynomial factors with degrees {degrees}"
@@ -312,9 +324,9 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     FAILS: its image lies in the normalizer of the Cartan subgroup
     (O/pO)^x, split when (D/p) = 1 and nonsplit when (D/p) = -1, of order
     at most 2(p^2 - 1).  For p <= 7 a rational point on X_0(p) over j, a
-    rational p-isogeny, gives FAILS, and failing that a split psi_p.  Only
-    a non-CM curve's scan goes on to prime_bound, which must lie in
-    [0, AP_PRIME_BOUND].
+    rational p-isogeny, gives FAILS, and failing that a split psi_p, which
+    at p = 3 needs a cube Delta.  Only a non-CM curve's scan goes on to
+    prime_bound, which must lie in [0, AP_PRIME_BOUND].
     """
     check_prime_bound(prime_bound)
     E_min = _require_good_odd_p(E, p)

@@ -10,7 +10,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Set, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 from .errors import IwkError, PostconditionFailed
 
@@ -21,8 +21,9 @@ Valuation = Union[int, float]
 
 
 class _LazySympy:
-    """The sympy module, imported on first attribute access, so that a
-    command which factors nothing never pays for importing it."""
+    """The sympy module, imported on first attribute access: by `factorint`
+    for a factor that rho leaves whole, and by conditions for a psi_p that
+    no certificate decides.  A run that needs neither never imports it."""
 
     def __getattr__(self, name):
         import sympy
@@ -39,31 +40,69 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _PSI_13 = 3317044064679887385961981
 
 
+def _strong_prp(n: int, a: int) -> bool:
+    """Whether the odd n > 2 is a strong probable prime to the base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _strong_lucas_prp(n: int) -> bool:
+    """Whether the odd n > 2 is a strong Lucas probable prime with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D|n) = -1, P = 1 and
+    Q = (1 - D)/4 (Baillie and Wagstaff, Math. Comp. 35 (1980), method A).
+    No such D exists for a perfect square, which is rejected first; a D
+    sharing a proper factor with n proves it composite."""
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and D % n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k and Q^k mod n for k = (n + 1) / 2^s, by U_2k = U_k V_k,
+    # V_2k = V_k^2 - 2Q^k, 2U_(k+1) = U_k + V_k and 2V_(k+1) = D U_k + V_k
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n * (U & 1)) // 2 % n
+            V = (V + n * (V & 1)) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V = (V * V - 2 * Qk) % n
+        if V == 0:
+            return True
+        Qk = Qk * Qk % n
+    return False
+
+
 def isprime(n: int) -> bool:
-    """Whether n is prime: deterministic Miller-Rabin below psi_13, sympy's
-    isprime at or above it."""
+    """Whether n is prime: deterministic Miller-Rabin to the first 13 prime
+    bases below psi_13, and the strong BPSW test at or above it, Miller-Rabin
+    to the base 2 and then _strong_lucas_prp, as sympy's isprime there."""
     if n < 2:
         return False
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
-    if n >= _PSI_13:
-        return sympy.isprime(n)
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _PSI_13:
+        return all(_strong_prp(n, a) for a in _MR_BASES)
+    return _strong_prp(n, 2) and _strong_lucas_prp(n)
 
 
 # Past this limit primerange tests each candidate rather than growing the
@@ -153,25 +192,66 @@ def _rho_divisor(n: int) -> Optional[int]:
 _CERTIFIED: Set[int] = set()
 
 
+def _iroot(n: int, k: int) -> int:
+    """The integer part of the k-th root of n >= 0, by Newton's method on
+    integers from a power of two above it."""
+    if n < 2:
+        return n
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
+
+
+def _perfect_power(m: int) -> Optional[Tuple[int, int]]:
+    """(r, k) with r^k = m and k > 1 prime, for an m with no prime factor up
+    to _TRIAL_LIMIT, so that 2^(10k) < m; None when m is no such power."""
+    for k in primerange(2, m.bit_length() // 10 + 1):
+        r = _iroot(m, k)
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factorint(n: int) -> Dict[int, int]:
     """Prime factorization {prime: exponent} of n >= 1, in three stages.
 
-    sympy's factorint trial-divides to _TRIAL_LIMIT; this call is the one
-    that imports sympy.  A factor enters the result only once `isprime`
-    certifies it, and joins _CERTIFIED; Pollard-Brent rho splits every other
-    one, and one that it cannot split within _RHO_BUDGET iterations goes to
-    sympy's factorint whole.  PostconditionFailed is raised if a prime sympy
-    returns fails `isprime`, or if the prime powers do not multiply back to n.
+    Trial division by the primes up to _TRIAL_LIMIT; then every factor that
+    `isprime` does not certify is split, as a perfect power or by
+    Pollard-Brent rho, and one that rho cannot split within _RHO_BUDGET
+    iterations goes to sympy's factorint whole.  That fallback is the one
+    call that imports sympy.  A factor enters the result only once `isprime`
+    certifies it, and joins _CERTIFIED.  PostconditionFailed is raised if a
+    prime sympy returns fails `isprime`, or if the prime powers do not
+    multiply back to n.
     """
     if n < 1:
         raise ValueError("factorint requires n >= 1")
     out: Dict[int, int] = {}
-    pending = list(sympy.factorint(n, limit=_TRIAL_LIMIT).items())
+    pending = []
+    m = n
+    for q in primerange(2, _TRIAL_LIMIT + 1):
+        if q * q > m:
+            break
+        if m % q == 0:
+            e = 0
+            while m % q == 0:
+                m //= q
+                e += 1
+            pending.append((q, e))
+    if m > 1:
+        pending.append((m, 1))
     while pending:
         m, e = pending.pop()
         if isprime(m):
             _CERTIFIED.add(m)
             out[m] = out.get(m, 0) + e
+            continue
+        power = _perfect_power(m)
+        if power is not None:
+            pending.append((power[0], e * power[1]))
             continue
         d = _rho_divisor(m)
         if d is not None:
@@ -228,7 +308,12 @@ def kronecker_symbol(a: int, n: int) -> int:
             return 0
         if v % 2 == 1 and a % 8 in (3, 5):
             sign = -sign
-    # Jacobi loop on the odd part.
+    return sign * _jacobi(a, n)
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a|n) for odd n > 0."""
+    sign = 1
     a %= n
     while a:
         while a % 2 == 0:

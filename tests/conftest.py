@@ -1,5 +1,6 @@
 """Shared fixtures: a corpus of small standard curves, the naive point
-counts that serve as oracles, and the oracles for an X_0(p) witness.
+counts that serve as oracles, and the oracles for an X_0(p) witness and
+for the factors of a division polynomial.
 
 Labels follow the usual tables; every fact the tests assert about these
 curves is computed (and cross-checked) by the package itself, except the
@@ -100,6 +101,13 @@ def x0_witness_point(p, detail):
     prefix = f"rational {p}-isogeny: X_0({p}) point t = "
     assert detail.startswith(prefix), detail
     return Fraction(detail[len(prefix):])
+
+
+def psi_degrees(E_min, p):
+    """Sorted degrees of the irreducible factors of psi_p over Q, by sympy's
+    factor_list and not by conditions._division_poly_reducible."""
+    psi = conditions._division_polynomial_x(-27 * E_min.c4, -54 * E_min.c6, p)
+    return sorted(f.degree() for f, _ in psi.factor_list()[1])
 
 
 def assert_x0_witness(E_min, p, detail):

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from sympy import primerange
 
-from conftest import CORPUS, assert_x0_witness, transformed
+from conftest import CORPUS, assert_x0_witness, psi_degrees, transformed
 from iwk import cli, conditions, ecq, twist
 from iwk.cli import (
     CurveRecord,
@@ -278,11 +278,13 @@ def test_each_prime_classified_once(monkeypatch):
 
 
 def test_psi_p_factored_only_where_no_certificate_decides(monkeypatch):
-    # over the golden run psi_p is factored only for the seven non-CM pairs
-    # at p = 3 without a point on X_0(3), which end INCONCLUSIVE; at p = 5
-    # and 7 CM or an X_0(p) point decides every pair the scan leaves open.
-    # Each X_0(p) witness passes its oracles.
-    factored, x0_witnesses = [], []
+    # over the golden run psi_p is never factored.  The scan leaves a class
+    # open at p = 5 and 7 only where CM or an X_0(p) point decides, and at
+    # p = 3 for seven non-CM pairs without a point on X_0(3), which end
+    # INCONCLUSIVE: each has a Delta that is not a cube, so psi_3 is
+    # irreducible unfactored, as sympy's factor_list confirms.  Each X_0(p)
+    # witness passes its oracles.
+    factored, skipped, x0_witnesses = [], [], []
     reducible, certificate = conditions._division_poly_reducible, conditions._negative_certificate
 
     def counting_reducible(E_min, p):
@@ -290,9 +292,12 @@ def test_psi_p_factored_only_where_no_certificate_decides(monkeypatch):
         return reducible(E_min, p)
 
     def recording_certificate(E_min, p):
+        before = len(factored)
         witness = certificate(E_min, p)
         if witness is not None and "X_0(" in witness[1]:
             x0_witnesses.append((E_min, p, witness[1]))
+        if witness is None and p == 3 and len(factored) == before:
+            skipped.append(E_min)
         return witness
 
     monkeypatch.setattr(conditions, "_division_poly_reducible", counting_reducible)
@@ -301,9 +306,13 @@ def test_psi_p_factored_only_where_no_certificate_decides(monkeypatch):
     assert _golden_run(digest) == 93
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
     inconclusive = ("11a1", "11a3", "17a1", "26b1", "37a1", "389a1", "5077a1")
-    # 29 factorizations, 14 of them at p = 5 and 7, when psi_p came before
-    # CM and X_0(p)
-    assert sorted(factored) == sorted((dict(CORPUS)[label], 3) for label in inconclusive)
+    # 7 factorizations, all at p = 3, before a Delta that is not a cube
+    # decided psi_3; 29 when psi_p came before CM and X_0(p)
+    assert factored == []
+    assert sorted(E.ainvs for E in skipped) == sorted(dict(CORPUS)[label] for label in inconclusive)
+    for E_min in skipped:
+        assert conditions.cm_order(E_min) is None
+        assert psi_degrees(E_min, 3) == [4], E_min.ainvs
     assert len(x0_witnesses) == 8
     for E_min, p, detail in x0_witnesses:
         assert_x0_witness(E_min, p, detail)
@@ -767,8 +776,11 @@ def test_cache_transparency(tmp_path, monkeypatch):
 
 
 def test_cold_imports(tmp_path):
-    # the command-line tool loads sympy only for the work that needs it,
-    # factoring, and numpy never
+    # the command-line tool loads sympy only for the work that needs it, a
+    # division polynomial that no certificate decides or a factor that rho
+    # leaves whole, and numpy never: not for a twist, for 5077a1 at p = 7,
+    # for 11a1 at p = 3, whose psi_3 its Delta shows irreducible, or for a
+    # trace cache
     import subprocess
     import sys
 
@@ -782,11 +794,13 @@ def test_cold_imports(tmp_path):
         "iwk.cli.main(['fitting', '--module', '7:3,1', '--i', '1'])\n"
         "assert loaded() == [], loaded()\n"
         "iwk.cli.main(['twist', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
-        "assert 'numpy' not in loaded(), loaded()\n"
+        "assert loaded() == [], loaded()\n"
         "iwk.cli.main(['analyze', '--curve', '0,0,1,-7,6', '--p', '7'])\n"
-        "assert 'numpy' not in loaded(), loaded()\n"
+        "assert loaded() == [], loaded()\n"
+        "iwk.cli.main(['analyze', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
+        "assert loaded() == [], loaded()\n"
         "iwk.cli.main(['cache', '--curve', '0,0,1,-7,6', '--bound', '2000'])\n"
-        "assert 'numpy' not in loaded(), loaded()\n"
+        "assert loaded() == [], loaded()\n"
     )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src, "IWK_CACHE_DIR": str(tmp_path)}

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 import sympy
 
-from conftest import X0_NUMERATOR, assert_x0_witness, transformed, x0_witness_point
+from conftest import X0_NUMERATOR, assert_x0_witness, psi_degrees, transformed, x0_witness_point
 from iwk import conditions
 from iwk.errors import BadReductionPrime, PostconditionFailed
 from iwk.conditions import (
@@ -413,17 +413,20 @@ def test_x0_witness_oracle_seeded():
     assert witnesses[3] >= 10 and witnesses[5] >= 1, witnesses
 
 
-def _x0_family(p):
-    """(t, curve) for t = a/b with 0 < |a| <= 12, b <= 3 on X_0(p), j = N(t)/t
-    not 0: y^2 = x^3 - 3j(j - 1728)x - 2j(j - 1728)^2 with denominators
-    cleared, twisted by the first d in (1, -1, 2, -2, 3, -3, 6, -6) whose
-    minimal model is good at p; t is skipped when there is none."""
+def _j_family(j_of_t, p):
+    """(t, curve) for t = a/b with 0 < |a| <= 12, b <= 3 and j = j_of_t(t)
+    not 0 or 1728: y^2 = x^3 - 3j(j - 1728)x - 2j(j - 1728)^2 with
+    denominators cleared, twisted by the first d in (1, -1, 2, -2, 3, -3,
+    6, -6) whose minimal model is good at p; t is skipped when there is
+    none."""
     for b in (1, 2, 3):
         for a in range(-12, 13):
             t = Fraction(a, b)
-            if a == 0 or gcd(a, b) != 1 or X0_NUMERATOR[p](t) == 0:
+            if a == 0 or gcd(a, b) != 1:
                 continue
-            j = X0_NUMERATOR[p](t) / t
+            j = j_of_t(t)
+            if j in (0, 1728):
+                continue
             n, d = j.numerator, j.denominator
             k = n * (n - 1728 * d)
             E = EllipticCurveQ(0, 0, 0, -3 * k * d**2, -2 * k * (n - 1728 * d) * d**3)
@@ -433,6 +436,11 @@ def _x0_family(p):
                 if E_tw.minimal[0].discriminant % p:
                     yield t, E_tw
                     break
+
+
+def _x0_family(p):
+    """_j_family over X_0(p): j = N(t)/t."""
+    return _j_family(lambda t: X0_NUMERATOR[p](t) / t, p)
 
 
 def test_x0_family_oracle():
@@ -451,6 +459,94 @@ def test_x0_family_oracle():
     assert min(good[p] for p in (3, 5, 7)) >= 20, good
 
 
+# ---------------------------------------------------------------------------
+# psi_3 is left unfactored exactly when Delta is not a cube.
+
+
+def _recording_certificate(monkeypatch):
+    """_negative_certificate at p = 3, with the curves it hands to
+    _division_poly_reducible recorded in the list returned beside it."""
+    factored = []
+    reducible = conditions._division_poly_reducible
+
+    def counting_reducible(E_min, p):
+        factored.append(E_min)
+        return reducible(E_min, p)
+
+    monkeypatch.setattr(conditions, "_division_poly_reducible", counting_reducible)
+    return lambda E_min: conditions._negative_certificate(E_min, 3), factored
+
+
+def _is_cube(n):
+    return sympy.integer_nthroot(abs(n), 3)[1]
+
+
+def test_psi3_skipped_only_where_irreducible(monkeypatch):
+    # on 400 seeded small curves good at 3 with neither CM nor a point on
+    # X_0(3), psi_3 is left unfactored exactly when Delta is not a cube, and
+    # then sympy finds it irreducible.  All 400 are skipped here; the
+    # families below have cube Deltas
+    certificate, factored = _recording_certificate(monkeypatch)
+    rng = random.Random(20261021)
+    tested = skipped = 0
+    while tested < 400:
+        try:
+            E_min = EllipticCurveQ(*(rng.randint(-9, 9) for _ in range(5))).minimal[0]
+        except ValueError:
+            continue
+        if E_min.discriminant % 3 == 0 or conditions.cm_order(E_min) is not None:
+            continue
+        if conditions._x0_point(E_min.j_invariant, 3) is not None:
+            continue
+        before = len(factored)
+        witness = certificate(E_min)
+        tested += 1
+        if len(factored) == before:
+            assert witness is None and not _is_cube(E_min.discriminant), E_min.ainvs
+            assert psi_degrees(E_min, 3) == [4], E_min.ainvs
+            skipped += 1
+        else:
+            assert _is_cube(E_min.discriminant), E_min.ainvs
+    assert skipped == 400
+
+
+def test_psi3_factored_on_cartan_normalizer_families(monkeypatch):
+    # j = t^3 is the image in the normalizer of the nonsplit Cartan mod 3 and
+    # j = 27(t + 1)^3(t - 3)^3 / t^3 in that of the split one (Zywina,
+    # arXiv:1508.07660, Thm 1.2); on the split family psi_3 splits 2 + 2 with
+    # no rational root.  Delta is a cube on both, so every non-CM member
+    # without a point on X_0(3) has its psi_3 factored, and the witness
+    # follows sympy's factor degrees.
+    certificate, factored = _recording_certificate(monkeypatch)
+    families = {
+        "nonsplit": lambda t: t**3,
+        "split": lambda t: 27 * (t + 1) ** 3 * (t - 3) ** 3 / t**3,
+    }
+    seen = Counter()
+    for name, j_of_t in families.items():
+        for t, E in _j_family(j_of_t, 3):
+            E_min = E.minimal[0]
+            if conditions.cm_order(E_min) is not None:
+                continue
+            degrees = psi_degrees(E_min, 3)
+            if name == "split":
+                assert degrees == [2, 2], (t, degrees)
+            assert _is_cube(E_min.discriminant), (name, t)
+            if conditions._x0_point(E_min.j_invariant, 3) is not None:
+                continue
+            before = len(factored)
+            witness = certificate(E_min)
+            assert len(factored) == before + 1, (name, t)
+            if degrees == [4]:
+                assert witness is None, (name, t)
+            else:
+                assert witness == (3, f"division polynomial factors with degrees {degrees}")
+            seen[name, tuple(degrees)] += 1
+    # 24 irreducible and 1 split psi_3 on the nonsplit family, 16 split on
+    # the split one
+    assert seen[("nonsplit", (4,))] >= 20 and seen[("split", (2, 2))] >= 15, seen
+
+
 def test_x0_point_raises_without_a_separating_prime(monkeypatch):
     # at j = 0, F = (t + 27)(t + 3)^3 on X_0(3): -3 is a repeated root mod
     # every prime, so none will do, and with no prime below the cap the
@@ -464,8 +560,8 @@ def test_x0_point_raises_without_a_separating_prime(monkeypatch):
 
 
 def test_x0_point_needs_no_sympy():
-    # the root finder lifts roots mod a small prime: no integer is factored,
-    # which would load sympy for its trial division
+    # the root finder lifts roots mod a small prime: no integer is factored
+    # and no polynomial, so sympy is never loaded
     import os
     import subprocess
     import sys

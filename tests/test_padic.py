@@ -3,6 +3,7 @@ import random
 import pytest
 import sympy
 from sympy import factorint, primerange
+from sympy.ntheory.primetest import is_strong_lucas_prp, mr
 
 from iwk import padic
 from iwk.errors import IwkError, PostconditionFailed
@@ -149,6 +150,16 @@ def test_isprime_matches_sympy():
         n = rng.getrandbits(rng.randint(20, 200)) | 1
         assert padic.isprime(n) == sympy.isprime(n), n
     assert not padic.isprime(-7)
+    # the strong BPSW range, where sympy's isprime is is_strong_bpsw_prp
+    rng = random.Random(2803)
+    cases = [PSI_13, sympy.nextprime(PSI_13)]
+    cases += [rng.randint(PSI_13, 10**40) for _ in range(20000)]
+    primes = 0
+    for n in cases:
+        expected = sympy.isprime(n)
+        assert padic.isprime(n) == expected, n
+        primes += expected
+    assert primes >= 150, primes
 
 
 def test_isprime_rejects_strong_pseudoprimes():
@@ -158,20 +169,47 @@ def test_isprime_rejects_strong_pseudoprimes():
     assert padic.isprime(2**61 - 1)  # a prime the Miller-Rabin path decides
 
 
-def test_isprime_routes_psi13_to_sympy(monkeypatch):
-    seen = []
+class _NoSympy:
+    """Stands in for padic's sympy where a test must not reach it."""
 
-    class Recorder:
-        def isprime(self, n):
-            seen.append(n)
-            return sympy.isprime(n)
+    def __getattr__(self, name):
+        raise AssertionError(f"padic reached sympy.{name}")
 
-    monkeypatch.setattr(padic, "sympy", Recorder())
+
+def test_isprime_rejects_psi13_without_sympy(monkeypatch):
+    # psi_13 passes all 13 Miller-Rabin bases, so the strong Lucas test of
+    # the BPSW path must reject it, with no help from sympy
+    assert all(padic._strong_prp(PSI_13, a) for a in padic._MR_BASES)
+    monkeypatch.setattr(padic, "sympy", _NoSympy())
     assert not padic.isprime(PSI_12)
-    assert seen == []
-    # psi_13 passes all 13 Miller-Rabin bases, so only sympy can reject it
     assert not padic.isprime(PSI_13)
-    assert seen == [PSI_13]
+    assert padic.isprime(sympy.nextprime(PSI_13))
+
+
+def test_strong_prp_matches_sympy():
+    rng = random.Random(2801)
+    # strong pseudoprimes to the base 2, Carmichael numbers and psi_13
+    cases = [2047, 3277, 4033, 4681, 8321, 561, 1105, 1729, 2465, PSI_12, PSI_13]
+    cases += [rng.getrandbits(rng.randint(2, 100)) | 1 for _ in range(20000)]
+    for n in cases:
+        if n > 2:
+            assert padic._strong_prp(n, 2) == mr(n, [2]), n
+
+
+def test_strong_lucas_prp_matches_sympy():
+    # the five strong Lucas pseudoprimes below 20000 pass, and perfect
+    # squares, which have no Selfridge D, are rejected
+    pseudoprimes = [5459, 5777, 10877, 16109, 18971]
+    assert all(padic._strong_lucas_prp(n) and not sympy.isprime(n) for n in pseudoprimes)
+    rng = random.Random(2802)
+    squares = [q * q for q in (3, 5, 7, 9, 15, 1031, 2**31 - 1, PSI_13)]
+    squares += [(rng.getrandbits(60) | 1) ** 2 for _ in range(200)]
+    assert not any(padic._strong_lucas_prp(n) for n in squares)
+    cases = pseudoprimes + squares + list(range(3, 20001, 2))
+    cases += [rng.getrandbits(rng.randint(10, 140)) | 1 for _ in range(5000)]
+    cases += [sympy.nextprime(rng.getrandbits(100)) for _ in range(200)]
+    for n in cases:
+        assert padic._strong_lucas_prp(n) == is_strong_lucas_prp(n), n
 
 
 def test_primerange_matches_sympy(monkeypatch):
@@ -230,19 +268,21 @@ def _bigdisc_shape(rng):
     return small * P2 * P1
 
 
-def test_factorint_matches_sympy_with_trial_division_only(monkeypatch):
-    # every case splits within the rho budget, so sympy only trial-divides
+def test_factorint_matches_sympy_without_calling_it(monkeypatch):
+    # every case splits within the rho budget or is a perfect power, so
+    # sympy is never reached
     rng = random.Random(19)
     cases = [_bigdisc_shape(rng) for _ in range(40)]
     semis = [q for q in SMALL_PRIMES if q > 2**10]
     cases += [rng.choice(semis) * rng.choice(semis) for _ in range(40)]
     for P in (1031, 32749, 999983, sympy.nextprime(2**20)):
         cases += [P**2, P**3, 3 * P**2 * 1009]
-    cases += [1, 2, 7, 1021, 1031, sympy.nextprime(PSI_13), 2**89 - 1]
-    recorder = _RecordingSympy()
-    monkeypatch.setattr(padic, "sympy", recorder)
+    # powers of primes far beyond what rho splits within its budget
+    for P in (sympy.nextprime(10**15), sympy.nextprime(2**61)):
+        cases += [P**2, 6 * P**3, P**5 * 1031**2]
+    cases += [1, 2, 7, 1021, 1031, 2**10 * 3 * 1031 * 1033, sympy.nextprime(PSI_13), 2**89 - 1]
+    monkeypatch.setattr(padic, "sympy", _NoSympy())
     got = [padic.factorint(n) for n in cases]
-    assert recorder.calls == [{"limit": 2**10}] * len(cases)
     # sympy's own answer second, as sympy 1.14 caches the factors it finds
     assert got == [factorint(n) for n in cases]
     with pytest.raises(ValueError):
@@ -255,7 +295,8 @@ def test_factorint_falls_back_to_sympy_past_the_rho_budget(monkeypatch):
     monkeypatch.setattr(padic, "_RHO_BUDGET", 8)
     n = 2**5 * 1031 * 32749 * 999983
     assert padic.factorint(n) == factorint(n)
-    assert recorder.calls[0] == {"limit": 2**10} and {} in recorder.calls[1:]
+    # the one sympy call factors 1031 * 32749 * 999983 whole
+    assert recorder.calls == [{}]
 
 
 def test_factorint_postcondition(monkeypatch):
