@@ -14,7 +14,8 @@ x-coordinates of E[p] - 0, so psi_p is irreducible whenever the scan
 reaches HOLDS; a CM curve FAILS whichever certificate is read first, and
 a rational p-isogeny splits psi_p.  So every status is the one that
 factoring psi_p before reading CM gives, and only a non-CM curve's scan
-goes on to the prime bound.
+goes on to the prime bound.  At p = 3 no trace rules out the nonsplit
+Cartan class, so that scan ends once Borel and split have witnesses.
 """
 
 from __future__ import annotations
@@ -286,10 +287,18 @@ def _negative_certificate(E_min: EllipticCurveQ, p: int) -> Optional[Tuple[int, 
 
 def _scan_traces(E_min: EllipticCurveQ, p: int, found: Dict, lo: int, hi: int) -> None:
     """Record in `found` the first trace witness of each class among the good
-    primes lo <= ell < hi, stopping once every class has one."""
+    primes lo <= ell < hi, stopping once every class that a trace at p can
+    witness has one.
+
+    At p = 3 no trace witnesses the nonsplit Cartan class: a != 0 mod 3
+    makes a^2 - 4 ell = 1 - ell, which is 0 or 2 mod 3 and never a nonzero
+    square.  So the scan at p = 3 ends once Borel and split have witnesses;
+    the class stays open, as it would at the bound.
+    """
     disc = E_min.discriminant
+    wanted = [c for c in found if p != 3 or c != "nonsplit_cartan_normalizer"]
     for ell in primerange(lo, hi):
-        if all(found.values()):
+        if all(found[c] for c in wanted):
             return
         if ell == p or disc % ell == 0:
             continue
@@ -326,7 +335,9 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     at most 2(p^2 - 1).  For p <= 7 a rational point on X_0(p) over j, a
     rational p-isogeny, gives FAILS, and failing that a split psi_p, which
     at p = 3 needs a cube Delta.  Only a non-CM curve's scan goes on to
-    prime_bound, which must lie in [0, AP_PRIME_BOUND].
+    prime_bound, which must lie in [0, AP_PRIME_BOUND], and at p = 3 only
+    while Borel or split lacks a witness: there the verdict is FAILS or
+    INCONCLUSIVE, with the nonsplit class open.
     """
     check_prime_bound(prime_bound)
     E_min = _require_good_odd_p(E, p)

@@ -117,6 +117,11 @@ class EllipticCurveQ:
         """`reduction_type(self, ell)` at each ell classified so far."""
         return {}
 
+    @functools.cached_property
+    def _traces(self) -> Dict[int, "TraceRecord"]:
+        """`count_points_ap(self, ell)` at each ell counted so far."""
+        return {}
+
     def j_valuation(self, ell: int) -> Valuation:
         """ord_ell of the j-invariant (negative iff ell divides the denominator)."""
         j = self.j_invariant
@@ -498,6 +503,7 @@ def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
     Below `_SHANKS_MESTRE_FROM` by the Legendre sum over a table of squares;
     from it by Shanks-Mestre baby-step giant-step, in O(ell^(1/4)) point
     operations, with the Legendre sum deciding the rare case it leaves open.
+    Each a_ell is counted once per curve object and kept on it.
     """
     if ell > AP_PRIME_BOUND:
         raise BudgetExceeded(f"{ell} exceeds the bound {AP_PRIME_BOUND}")
@@ -505,8 +511,11 @@ def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
         raise ValueError("point counts need an odd prime")
     if ord_p(E.discriminant, ell) != 0:
         raise BadReductionPrime(f"{ell} divides the discriminant")
-    a = _shanks_mestre(E, ell) if ell >= _SHANKS_MESTRE_FROM else None
-    return TraceRecord(ell, _legendre_trace(E, ell) if a is None else a)
+    record = E._traces.get(ell)
+    if record is None:
+        a = _shanks_mestre(E, ell) if ell >= _SHANKS_MESTRE_FROM else None
+        record = E._traces[ell] = TraceRecord(ell, _legendre_trace(E, ell) if a is None else a)
+    return record
 
 
 # ---------------------------------------------------------------------------

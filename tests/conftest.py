@@ -1,6 +1,7 @@
 """Shared fixtures: a corpus of small standard curves, the naive point
-counts that serve as oracles, and the oracles for an X_0(p) witness and
-for the factors of a division polynomial.
+counts that serve as oracles, the oracles for an X_0(p) witness and for
+the factors of a division polynomial, and check_c1_str with a trace scan
+that runs to the prime bound.
 
 Labels follow the usual tables; every fact the tests assert about these
 curves is computed (and cross-checked) by the package itself, except the
@@ -13,8 +14,10 @@ from fractions import Fraction
 import pytest
 
 from iwk import conditions
-from iwk.ecq import EllipticCurveQ
+from iwk.conditions import Status, Verdict
+from iwk.ecq import EllipticCurveQ, check_prime_bound, count_points_ap
 from iwk.errors import BadReductionPrime
+from iwk.padic import kronecker_symbol, primerange
 
 CORPUS = [
     ("11a1", (0, -1, 1, -10, -20)),
@@ -121,3 +124,51 @@ def assert_x0_witness(E_min, p, detail):
     for f, _ in psi.factor_list()[1]:
         sums |= {s + f.degree() for s in sums}
     assert (p - 1) // 2 in sums, (E_min.ainvs, p)
+
+
+def scan_traces_to_bound(E_min, p, found, lo, hi):
+    """The trace scan that stops only once every class has a witness, so at
+    p = 3, where none can witness the nonsplit Cartan class, it runs to hi."""
+    disc = E_min.discriminant
+    for ell in primerange(lo, hi):
+        if all(found.values()):
+            return
+        if ell == p or disc % ell == 0:
+            continue
+        a = count_points_ap(E_min, ell).a_ell % p
+        D = (a * a - 4 * ell) % p
+        chi = kronecker_symbol(D, p)
+        if chi == -1 and found["borel"] is None:
+            found["borel"] = (ell, f"a={a}, disc nonsquare mod {p}")
+        if a != 0:
+            if chi == -1 and found["split_cartan_normalizer"] is None:
+                found["split_cartan_normalizer"] = (ell, f"a={a}, disc nonsquare mod {p}")
+            if chi == 1 and found["nonsplit_cartan_normalizer"] is None:
+                found["nonsplit_cartan_normalizer"] = (ell, f"a={a}, disc nonzero square mod {p}")
+            if found["exceptional"] is None:
+                u = a * a * pow(ell, -1, p) % p
+                if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
+                    found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
+
+
+def check_c1_str_full_scan(E, p, prime_bound=conditions.DEFAULT_PRIME_BOUND):
+    """check_c1_str with `scan_traces_to_bound` in place of its scan: the
+    reference that the p = 3 stop rule must match byte for byte."""
+    check_prime_bound(prime_bound)
+    E_min = conditions._require_good_odd_p(E, p)
+    params = {"prime_bound": prime_bound}
+    found = {c: None for c in conditions._WITNESS_CLASSES}
+    if p == 3:
+        found["exceptional"] = (0, "vacuous for p = 3")
+    first_hi = min(prime_bound + 1, conditions._SCAN_BEFORE_FACTOR)
+    scan_traces_to_bound(E_min, p, found, 3, first_hi)
+    if not all(found.values()):
+        witness = conditions._negative_certificate(E_min, p)
+        if witness is not None:
+            return Verdict(Status.FAILS, (witness,), params)
+    scan_traces_to_bound(E_min, p, found, first_hi, prime_bound + 1)
+    if all(found.values()):
+        witnesses = tuple((ell, f"{cls}: {detail}") for cls, (ell, detail) in found.items())
+        return Verdict(Status.HOLDS, witnesses, params)
+    missing = [c for c, w in found.items() if w is None]
+    return Verdict(Status.INCONCLUSIVE, (), {**params, "unresolved_classes": missing})

@@ -277,6 +277,45 @@ def test_each_prime_classified_once(monkeypatch):
     assert len(calls) > 100 and max(calls.values()) == 1, sum(calls.values())
 
 
+def test_golden_run_counts_below_shanks_mestre(monkeypatch):
+    # over the golden run every trace the reports need lies below 128: at
+    # p = 3 Borel and split have witnesses there for each pair whose scan
+    # leaves the nonsplit class open, so no point is counted by
+    # Shanks-Mestre.  17,200 calls, 15,567 by Shanks-Mestre, on a corpus
+    # pass before the scan stopped there and each a_ell was kept on its curve
+    calls = []
+    count = ecq.count_points_ap
+
+    def recording_count(E, ell):
+        calls.append(ell)
+        return count(E, ell)
+
+    def no_shanks_mestre(E, ell):
+        raise AssertionError(f"Shanks-Mestre run at {ell}")
+
+    for module in (ecq, conditions, cli):
+        monkeypatch.setattr(module, "count_points_ap", recording_count)
+    monkeypatch.setattr(ecq, "_shanks_mestre", no_shanks_mestre)
+    digest = hashlib.sha256()
+    assert _golden_run(digest) == 93
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+    assert calls and max(calls) < 128, max(calls)
+
+
+def test_one_curve_object_per_p_gives_the_same_reports():
+    # the a_ell kept on a curve object serve every p it is analyzed at; a
+    # fresh object per p counts them again and gives the same bytes
+    for label, a in CORPUS:
+        E = EllipticCurveQ(*a)
+        for p in (3, 5, 7, 11, 13):
+            if E.discriminant % p == 0:
+                continue
+            shared = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
+            fresh = analyze_curve(EllipticCurveQ(*a), p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
+            assert json.dumps(shared.data, sort_keys=True) == json.dumps(fresh.data, sort_keys=True)
+        assert E.minimal[0]._traces, label
+
+
 def test_psi_p_factored_only_where_no_certificate_decides(monkeypatch):
     # over the golden run psi_p is never factored.  The scan leaves a class
     # open at p = 5 and 7 only where CM or an X_0(p) point decides, and at

@@ -1,4 +1,5 @@
 import functools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,7 +8,16 @@ from math import gcd
 import pytest
 import sympy
 
-from conftest import X0_NUMERATOR, assert_x0_witness, psi_degrees, transformed, x0_witness_point
+from conftest import (
+    CORPUS,
+    X0_NUMERATOR,
+    assert_x0_witness,
+    check_c1_str_full_scan,
+    psi_degrees,
+    scan_traces_to_bound,
+    transformed,
+    x0_witness_point,
+)
 from iwk import conditions
 from iwk.errors import BadReductionPrime, PostconditionFailed
 from iwk.conditions import (
@@ -19,8 +29,8 @@ from iwk.conditions import (
     check_c2_sufficient,
     check_c3,
 )
-from iwk.ecq import EllipticCurveQ, count_points_ap, quadratic_twist
-from iwk.padic import kronecker_symbol, primerange
+from iwk.ecq import EllipticCurveQ, quadratic_twist
+from iwk.padic import kronecker_symbol
 
 
 def test_verdict_invariants():
@@ -185,12 +195,9 @@ def _cm_curves():
             yield disc, E if d == 1 else quadratic_twist(E, d)
 
 
-def test_c1_str_cm_cartan_oracle(monkeypatch):
+def test_c1_str_cm_cartan_oracle():
     # a CM image lies in the normalizer of the Cartan subgroup named by
     # (D/p), so no trace ever rules that class out; check_c1_str says FAILS
-    monkeypatch.setattr(
-        conditions, "count_points_ap", functools.lru_cache(maxsize=None)(count_points_ap)
-    )
     pairs = 0
     for disc, E in _cm_curves():
         for p in (3, 5, 7, 11, 13, 17, 19):
@@ -296,26 +303,7 @@ def _check_c1_str_factor_first(E, p, prime_bound):
     found = {c: None for c in conditions._WITNESS_CLASSES}
     if p == 3:
         found["exceptional"] = (0, "vacuous for p = 3")
-    disc = E_min.discriminant
-    for ell in primerange(3, prime_bound + 1):
-        if all(found.values()):
-            break
-        if ell == p or disc % ell == 0:
-            continue
-        a = count_points_ap(E_min, ell).a_ell % p
-        D = (a * a - 4 * ell) % p
-        chi = kronecker_symbol(D, p)
-        if chi == -1 and found["borel"] is None:
-            found["borel"] = (ell, f"a={a}, disc nonsquare mod {p}")
-        if a != 0:
-            if chi == -1 and found["split_cartan_normalizer"] is None:
-                found["split_cartan_normalizer"] = (ell, f"a={a}, disc nonsquare mod {p}")
-            if chi == 1 and found["nonsplit_cartan_normalizer"] is None:
-                found["nonsplit_cartan_normalizer"] = (ell, f"a={a}, disc nonzero square mod {p}")
-            if found["exceptional"] is None:
-                u = a * a * pow(ell, -1, p) % p
-                if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
-                    found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
+    scan_traces_to_bound(E_min, p, found, 3, prime_bound + 1)
     if all(found.values()):
         witnesses = tuple((ell, f"{cls}: {detail}") for cls, (ell, detail) in found.items())
         return Verdict(Status.HOLDS, witnesses, params)
@@ -383,6 +371,101 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
                 seen.add(expected["status"])
     assert seen == {"HOLDS", "FAILS", "INCONCLUSIVE"}
     assert cm_decided and rewitnessed["CM"] and rewitnessed["X_0"], rewitnessed
+
+
+# ---------------------------------------------------------------------------
+# The trace scan at p = 3 ends once Borel and split have witnesses.
+
+
+def test_no_trace_witnesses_nonsplit_cartan_at_3():
+    # a != 0 mod 3 gives a^2 - 4 ell = 1 - ell in {0, 2} mod 3, never a
+    # nonzero square, at every residue of ell prime to 3
+    for a in (1, 2):
+        for ell in (1, 2):
+            assert kronecker_symbol((a * a - 4 * ell) % 3, 3) != 1, (a, ell)
+    # for p >= 5 each class has residues (a, ell) that witness it
+    for p in (5, 7, 11, 13):
+        chis = {
+            (a != 0, kronecker_symbol((a * a - 4 * ell) % p, p))
+            for a in range(p) for ell in range(1, p)
+        }
+        assert {(True, 1), (True, -1)} <= chis, p
+
+
+def test_c1_str_stop_rule_matches_full_scan(monkeypatch):
+    # check_c1_str against the scan that runs to the bound, byte for byte:
+    # the standard curves at every good p <= 13 and the default bound, and
+    # seeded curves at p = 3, 5, 7 and bounds on both sides of
+    # _SCAN_BEFORE_FACTOR.  One curve object serves every p; the reference
+    # counts on an object of its own.  Both sides share one factorization
+    # of each psi_p.
+    monkeypatch.setattr(
+        conditions, "_division_poly_reducible",
+        functools.lru_cache(maxsize=None)(conditions._division_poly_reducible),
+    )
+    rng = random.Random(20261021)
+    runs = [(EllipticCurveQ(*a), (3, 5, 7, 11, 13), conditions.DEFAULT_PRIME_BOUND) for _, a in CORPUS]
+    while len(runs) < len(CORPUS) + 300:
+        try:
+            E = EllipticCurveQ(*(rng.randint(-9, 9) for _ in range(5)))
+        except ValueError:
+            continue
+        runs.append((E, (3, 5, 7), rng.choice((0, 13, 60, 127, 128, 1000))))
+    statuses = Counter()
+    for E, primes, bound in runs:
+        E_ref = EllipticCurveQ(*E.ainvs)
+        for p in primes:
+            try:
+                got = json.dumps(check_c1_str(E, p, bound).to_json_dict(), sort_keys=True)
+            except BadReductionPrime:
+                with pytest.raises(BadReductionPrime):
+                    check_c1_str_full_scan(E_ref, p, bound)
+                continue
+            expected = check_c1_str_full_scan(E_ref, p, bound).to_json_dict()
+            assert got == json.dumps(expected, sort_keys=True), (E.ainvs, p, bound)
+            statuses[p, expected["status"], tuple(expected["budget"].get("unresolved_classes", ()))] += 1
+    # at p = 3: INCONCLUSIVE with the nonsplit class alone open, and with
+    # Borel or split open as well at the small bounds
+    open_at_3 = {classes for (p, status, classes) in statuses if p == 3 and status == "INCONCLUSIVE"}
+    assert ("nonsplit_cartan_normalizer",) in open_at_3
+    assert any(len(classes) > 1 for classes in open_at_3), open_at_3
+    assert {status for (_, status, _) in statuses} == {"HOLDS", "FAILS", "INCONCLUSIVE"}
+
+
+def _twist_parameters(rng, count):
+    ds = []
+    while len(ds) < count:
+        d = rng.choice((-1, 1)) * rng.randint(2, 60)
+        if d not in ds and all(d % (q * q) for q in range(2, 8)):
+            ds.append(d)
+    return ds
+
+
+def test_c1_str_twist_invariance():
+    # a_ell(E^d) = chi_d(ell) a_ell(E) leaves a^2 and whether a = 0 as they
+    # are, and E^d has E's j, so CM and points on X_0(p) do not change and
+    # psi_p of E^d is psi_p of E with x scaled.  So at each p good for both
+    # the C1 status agrees, and at p = 3, where the scan runs to the bound
+    # unless Borel and split have witnesses, so do the open classes.
+    rng = random.Random(20261022)
+    ds = _twist_parameters(rng, 10)
+    cases = Counter()
+    for _, a in CORPUS:
+        E = EllipticCurveQ(*a)
+        for d in ds:
+            E_tw = quadratic_twist(E, d)
+            for p in (3, 5, 7):
+                if E.discriminant % p == 0 or E_tw.discriminant % p == 0:
+                    continue
+                v, v_tw = check_c1_str(E, p), check_c1_str(E_tw, p)
+                assert v.status == v_tw.status, (a, d, p)
+                if p == 3:
+                    assert v.parameters.get("unresolved_classes") == v_tw.parameters.get(
+                        "unresolved_classes"
+                    ), (a, d)
+                cases[p, v.status] += 1
+    assert sum(cases.values()) > 300
+    assert {status for (_, status) in cases} == {Status.HOLDS, Status.FAILS, Status.INCONCLUSIVE}
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,56 @@ def test_count_points_errors(e5077):
         count_points_ap(e5077, 2)
 
 
+def test_count_points_errors_on_repeat(e5077):
+    # the checks come before the curve's table is read: a bad ell raises on
+    # every call, also once good primes have been counted
+    E = EllipticCurveQ(*e5077.ainvs)
+    assert count_points_ap(E, 5) is count_points_ap(E, 5)
+    for _ in range(2):
+        with pytest.raises(BadReductionPrime):
+            count_points_ap(E, 5077)
+        with pytest.raises(BudgetExceeded):
+            count_points_ap(E, nextprime(AP_PRIME_BOUND))
+        with pytest.raises(ValueError):
+            count_points_ap(E, 2)
+    assert list(E._traces) == [5]
+
+
+def test_each_trace_counted_once_per_curve_object(monkeypatch, corpus):
+    # a curve object analyzed at every good p <= 13, and then asked for each
+    # a_ell below 400 twice, counts each a_ell once: the Legendre sum and
+    # Shanks-Mestre each run at most once per (object, ell)
+    from iwk import cli
+
+    runs = Counter()
+    curves = []  # alive, so that no other curve takes an id
+
+    def counted(name, fn):
+        def run(E, ell):
+            curves.append(E)
+            runs[name, id(E), ell] += 1
+            return fn(E, ell)
+        return run
+
+    for name in ("_legendre_trace", "_shanks_mestre"):
+        monkeypatch.setattr(ecq, name, counted(name, getattr(ecq, name)))
+    requests = 0
+    for label, E in corpus:
+        E = EllipticCurveQ(*E.ainvs)
+        for p in (3, 5, 7, 11, 13):
+            if E.discriminant % p:
+                cli.analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
+        E_min = E.minimal[0]
+        for _ in range(2):
+            for ell in primerange(3, 400):
+                if E_min.discriminant % ell:
+                    assert count_points_ap(E_min, ell).a_ell == E_min._traces[ell].a_ell
+                    requests += 1
+    assert max(runs.values()) == 1
+    assert any(name == "_shanks_mestre" for name, _, _ in runs)
+    assert len({key[1:] for key in runs}) * 2 <= requests
+
+
 def test_count_points_cross_check(corpus):
     for label, E in corpus[:6]:
         disc = E.discriminant
@@ -349,7 +400,9 @@ def test_count_points_against_legendre_oracle(monkeypatch):
     assert 100 <= low < 229
     # below 229 a point can leave several candidates to intersect
     assert any(low <= ell < 229 and orders and len(orders) > 1 for ell, orders in sets)
-    # with one point allowed, those cases fall back to the exact sum
+    # with one point allowed, those cases fall back to the exact sum.  Each
+    # curve object keeps the a_ell it has counted, so this pass counts on
+    # fresh objects of the same models
     fallbacks = []
     legendre = ecq._legendre_trace
 
@@ -359,7 +412,7 @@ def test_count_points_against_legendre_oracle(monkeypatch):
 
     monkeypatch.setattr(ecq, "_SHANKS_MESTRE_POINTS", 1)
     monkeypatch.setattr(ecq, "_legendre_trace", counted)
-    for E in curves:
+    for E in (EllipticCurveQ(*E.ainvs) for E in curves):
         for ell in primerange(low, 229):
             if E.discriminant % ell:
                 assert count_points_ap(E, ell).a_ell == _legendre_sum_trace(E, ell), (E.ainvs, ell)
