@@ -389,7 +389,7 @@ def _cmd_fitting(args) -> int:
         P = diagonal_presentation(M) if M.is_torsion and M.exponents else None
         if P is not None:
             try:
-                bf = phi_bruteforce(M, i, budget=args.budget)
+                bf = phi_bruteforce(M, i)
                 checks["bruteforce"] = {"value": _fmt_val(bf), "agrees": bf == value}
             except BudgetExceeded as e:
                 checks["bruteforce"] = {"skipped": str(e)}
@@ -504,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--module")
     group.add_argument("--presentation-file", dest="presentation_file")
     sp.add_argument("--i", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=10**6)
     sp.set_defaults(func=_cmd_fitting)
 
     sp = sub.add_parser("growth", help="class-number growth class from invariants")

@@ -2,20 +2,9 @@
 
 The local-torsion condition is decided exactly; the CM condition is a table
 lookup on exact j-invariants.  The big-image condition is tested through
-trace witnesses ruling out every maximal-subgroup class of GL_2(F_p).  It
-has three negative certificates, read in this order once the primes below
-_SCAN_BEFORE_FACTOR leave a class open: CM, whose mod-p image lies in the
-normalizer of a Cartan subgroup (Serre 1972, section 4); for p <= 7 a
-rational point on X_0(p) over j, which is a rational p-isogeny; and for
-p <= 7 a split division polynomial psi_p, factored only when neither of
-the others decides and, at p = 3, Delta is a cube: otherwise psi_3 is
-irreducible, so no witness.  A surjective image acts transitively on the
-x-coordinates of E[p] - 0, so psi_p is irreducible whenever the scan
-reaches HOLDS; a CM curve FAILS whichever certificate is read first, and
-a rational p-isogeny splits psi_p.  So every status is the one that
-factoring psi_p before reading CM gives, and only a non-CM curve's scan
-goes on to the prime bound.  At p = 3 no trace rules out the nonsplit
-Cartan class, so that scan ends once Borel and split have witnesses.
+trace witnesses ruling out every maximal-subgroup class of GL_2(F_p), and
+through the negative certificates of `_negative_certificate` when the first
+primes leave a class open.
 """
 
 from __future__ import annotations
@@ -137,19 +126,19 @@ _WITNESS_CLASSES = (
 )
 
 DEFAULT_PRIME_BOUND = 10**4
-# Primes scanned before the negative certificates are read: CM, then for
-# p <= 7 a point on X_0(p), then psi_p.  Every HOLDS verdict seen on the
-# corpus and on seeded random curves had its last witness by 67.
+# Primes scanned before `_negative_certificate` is read.  Every HOLDS verdict
+# seen on the corpus and on seeded random curves had its last witness by 67.
 _SCAN_BEFORE_FACTOR = 128
 
 
-def _division_polynomial_x(A: int, B: int, n: int):
-    """n-th division polynomial of y^2 = x^3 + Ax + B as a poly in x, n = 3, 5, 7.
+def _division_polynomial_x(A: int, B: int, n: int) -> List[int]:
+    """n-th division polynomial of y^2 = x^3 + Ax + B in x, n = 3, 5, 7, as
+    integer coefficients, lowest degree first.
 
-    Written out on integer coefficient lists, lowest degree first
-    (Washington, Elliptic Curves, section 3.2): psi_5 = psi_4 psi_2^3 - psi_3^3
-    and psi_7 = psi_5 psi_3^3 - psi_2 psi_4^3.  psi_2 = 2y and psi_4 is
-    carried as psi_4 / 2y, so y enters only through (2y)^4 = 16 f^2.
+    Written out (Washington, Elliptic Curves, section 3.2):
+    psi_5 = psi_4 psi_2^3 - psi_3^3 and psi_7 = psi_5 psi_3^3 - psi_2 psi_4^3.
+    psi_2 = 2y and psi_4 is carried as psi_4 / 2y, so y enters only through
+    (2y)^4 = 16 f^2.
     """
     if n not in (3, 5, 7):
         raise ValueError(f"psi_n is written out for n = 3, 5, 7, not {n}")
@@ -163,23 +152,15 @@ def _division_polynomial_x(A: int, B: int, n: int):
         if n == 7:
             psi2_psi4_cubed = poly_mul(poly_mul(psi4, psi4), psi4_psi2_cubed)
             psi = [u - v for u, v in zip(poly_mul(psi, psi3_cubed), psi2_psi4_cubed)]
-    return sympy.Poly(psi[::-1], sympy.Symbol("x"))
+    return psi
 
 
 def _division_poly_reducible(E_min: EllipticCurveQ, p: int) -> Optional[List[int]]:
-    """Degrees of the irreducible factors of the p-division polynomial when it
-    splits; None when it is irreducible (a full-orbit certificate).
-
-    check_c1_str calls this only after the primes below _SCAN_BEFORE_FACTOR
-    leave a class open and neither CM nor a point on X_0(p) decides, nor at
-    p = 3 a Delta that is not a cube: a HOLDS verdict implies an irreducible
-    psi_p, so factoring it then would add nothing, either of the other
-    certificates gives FAILS by itself, and the cube test proves psi_3
-    irreducible.
-    """
-    A, B = -27 * E_min.c4, -54 * E_min.c6
-    poly = _division_polynomial_x(A, B, p)
-    _, factors = poly.factor_list()
+    """Degrees of the irreducible factors of the p-division polynomial over Q
+    when it splits; None when it is irreducible (a full-orbit certificate).
+    The one place that hands psi_p to sympy."""
+    psi = _division_polynomial_x(-27 * E_min.c4, -54 * E_min.c6, p)
+    _, factors = sympy.Poly(psi[::-1], sympy.Symbol("x")).factor_list()
     degrees = sorted(f.degree() for f, _ in factors)
     if len(degrees) == 1 and degrees[0] == (p * p - 1) // 2:
         return None
@@ -255,9 +236,23 @@ def _x0_point(j: Fraction, p: int) -> Optional[Fraction]:
 
 def _negative_certificate(E_min: EllipticCurveQ, p: int) -> Optional[Tuple[int, str]]:
     """The FAILS witness of the first certificate of a non-surjective image
-    mod p that applies: CM, then for p <= 7 a point on X_0(p), then a split
-    psi_p, factored at p = 3 only when Delta is a cube; None when none
-    does."""
+    mod p that applies; None when none does.
+
+    The certificates are read in this order.  First CM by an order of
+    discriminant D: the mod-p image lies in the normalizer of the Cartan
+    subgroup (O/pO)^x, split when (D/p) = 1 and nonsplit when (D/p) = -1
+    (Serre, Invent. Math. 15 (1972), section 4).  Then, for p <= 7, a
+    rational point on X_0(p) over j, which is a rational p-isogeny.  Then,
+    at p = 3, the cube test: a Delta that is not a cube proves psi_3
+    irreducible.  Last a split division polynomial psi_p, the only
+    certificate that needs sympy.
+
+    A surjective image acts transitively on the x-coordinates of E[p] - 0,
+    so psi_p is irreducible whenever the trace scan reaches HOLDS; a CM
+    curve FAILS whichever certificate is read first, and a rational
+    p-isogeny splits psi_p.  So every status is the one that factoring
+    psi_p before reading CM gives.
+    """
     cm = cm_order(E_min)
     if cm is not None:
         disc = cm[0]
@@ -329,15 +324,10 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     cyclotomic character, so full coverage certifies surjectivity mod p.
 
     When the primes below _SCAN_BEFORE_FACTOR (or the whole bound, if
-    smaller) leave a class open, _negative_certificate is read.  A CM curve
-    FAILS: its image lies in the normalizer of the Cartan subgroup
-    (O/pO)^x, split when (D/p) = 1 and nonsplit when (D/p) = -1, of order
-    at most 2(p^2 - 1).  For p <= 7 a rational point on X_0(p) over j, a
-    rational p-isogeny, gives FAILS, and failing that a split psi_p, which
-    at p = 3 needs a cube Delta.  Only a non-CM curve's scan goes on to
-    prime_bound, which must lie in [0, AP_PRIME_BOUND], and at p = 3 only
-    while Borel or split lacks a witness: there the verdict is FAILS or
-    INCONCLUSIVE, with the nonsplit class open.
+    smaller) leave a class open, a witness from _negative_certificate makes
+    the verdict FAILS.  Otherwise the scan goes on to prime_bound, which
+    must lie in [0, AP_PRIME_BOUND].  At p = 3 no trace witnesses the
+    nonsplit class, so the verdict there is FAILS or INCONCLUSIVE.
     """
     check_prime_bound(prime_bound)
     E_min = _require_good_odd_p(E, p)

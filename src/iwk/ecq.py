@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -36,62 +36,51 @@ def check_prime_bound(bound: int) -> None:
 
 @dataclass(frozen=True)
 class EllipticCurveQ:
-    """Integral Weierstrass model [a1, a2, a3, a4, a6] with cached invariants."""
+    """Integral Weierstrass model [a1, a2, a3, a4, a6].
+
+    The b- and c-invariants and the discriminant are set at construction;
+    each object keeps its own tables of the reduction types and traces
+    computed on it.
+    """
 
     a1: int
     a2: int
     a3: int
     a4: int
     a6: int
+    b2: int = field(init=False, repr=False, compare=False)
+    b4: int = field(init=False, repr=False, compare=False)
+    b6: int = field(init=False, repr=False, compare=False)
+    b8: int = field(init=False, repr=False, compare=False)
+    c4: int = field(init=False, repr=False, compare=False)
+    c6: int = field(init=False, repr=False, compare=False)
+    discriminant: int = field(init=False, repr=False, compare=False)
+    # `reduction_type(self, ell)` and `count_points_ap(self, ell)` at each ell so far
+    _reductions: Dict[int, "ReductionInfo"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _traces: Dict[int, "TraceRecord"] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        if self.discriminant == 0:
+        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+        b2 = a1**2 + 4 * a2
+        b4 = 2 * a4 + a1 * a3
+        b6 = a3**2 + 4 * a6
+        b8 = a1**2 * a6 + 4 * a2 * a6 - a1 * a3 * a4 + a2 * a3**2 - a4**2
+        c4 = b2**2 - 24 * b4
+        c6 = -b2**3 + 36 * b2 * b4 - 216 * b6
+        disc = -b2**2 * b8 - 8 * b4**3 - 27 * b6**2 + 9 * b2 * b4 * b6
+        if disc == 0:
             raise ValueError("singular Weierstrass equation")
-        if self.c4**3 - self.c6**2 != 1728 * self.discriminant:
+        if c4**3 - c6**2 != 1728 * disc:
             raise PostconditionFailed("c4^3 - c6^2 != 1728 * discriminant")
+        self.__dict__.update(b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, discriminant=disc)
 
     @property
     def ainvs(self) -> Tuple[int, int, int, int, int]:
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
-
-    @functools.cached_property
-    def b2(self) -> int:
-        return self.a1**2 + 4 * self.a2
-
-    @functools.cached_property
-    def b4(self) -> int:
-        return 2 * self.a4 + self.a1 * self.a3
-
-    @functools.cached_property
-    def b6(self) -> int:
-        return self.a3**2 + 4 * self.a6
-
-    @functools.cached_property
-    def b8(self) -> int:
-        return (
-            self.a1**2 * self.a6
-            + 4 * self.a2 * self.a6
-            - self.a1 * self.a3 * self.a4
-            + self.a2 * self.a3**2
-            - self.a4**2
-        )
-
-    @functools.cached_property
-    def c4(self) -> int:
-        return self.b2**2 - 24 * self.b4
-
-    @functools.cached_property
-    def c6(self) -> int:
-        return -self.b2**3 + 36 * self.b2 * self.b4 - 216 * self.b6
-
-    @functools.cached_property
-    def discriminant(self) -> int:
-        return (
-            -self.b2**2 * self.b8
-            - 8 * self.b4**3
-            - 27 * self.b6**2
-            + 9 * self.b2 * self.b4 * self.b6
-        )
 
     @functools.cached_property
     def j_invariant(self) -> Fraction:
@@ -111,16 +100,6 @@ class EllipticCurveQ:
     def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, int, int, int]]:
         """`minimal_model(self)`, built once per curve object."""
         return minimal_model(self)
-
-    @functools.cached_property
-    def _reductions(self) -> Dict[int, "ReductionInfo"]:
-        """`reduction_type(self, ell)` at each ell classified so far."""
-        return {}
-
-    @functools.cached_property
-    def _traces(self) -> Dict[int, "TraceRecord"]:
-        """`count_points_ap(self, ell)` at each ell counted so far."""
-        return {}
 
     def j_valuation(self, ell: int) -> Valuation:
         """ord_ell of the j-invariant (negative iff ell divides the denominator)."""

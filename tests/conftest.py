@@ -12,6 +12,7 @@ suite.
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from iwk import conditions
 from iwk.conditions import Status, Verdict
@@ -108,9 +109,11 @@ def x0_witness_point(p, detail):
 
 def psi_degrees(E_min, p):
     """Sorted degrees of the irreducible factors of psi_p over Q, by sympy's
-    factor_list and not by conditions._division_poly_reducible."""
+    factor_list on a Poly built here and not by
+    conditions._division_poly_reducible."""
     psi = conditions._division_polynomial_x(-27 * E_min.c4, -54 * E_min.c6, p)
-    return sorted(f.degree() for f, _ in psi.factor_list()[1])
+    factors = sympy.Poly(psi[::-1], sympy.Symbol("x")).factor_list()[1]
+    return sorted(f.degree() for f, _ in factors)
 
 
 def assert_x0_witness(E_min, p, detail):
@@ -119,10 +122,9 @@ def assert_x0_witness(E_min, p, detail):
     rational p-isogeny that the point stands for."""
     t = x0_witness_point(p, detail)
     assert t != 0 and X0_NUMERATOR[p](t) == E_min.j_invariant * t, (E_min.ainvs, p, t)
-    psi = conditions._division_polynomial_x(-27 * E_min.c4, -54 * E_min.c6, p)
     sums = {0}
-    for f, _ in psi.factor_list()[1]:
-        sums |= {s + f.degree() for s in sums}
+    for degree in psi_degrees(E_min, p):
+        sums |= {s + degree for s in sums}
     assert (p - 1) // 2 in sums, (E_min.ainvs, p)
 
 

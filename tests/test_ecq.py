@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -11,7 +12,8 @@ from sympy import factorint, nextprime, prevprime, primerange
 
 import iwk
 from iwk import ecq
-from conftest import count_points_naive, trace_naive, transformed
+from iwk.cli import analyze_curve
+from conftest import CORPUS, count_points_naive, trace_naive, transformed
 from iwk.errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
 from iwk.ecq import (
     AP_PRIME_BOUND,
@@ -34,6 +36,36 @@ def test_curve_invariants(corpus):
         assert E.c4**3 - E.c6**2 == 1728 * E.discriminant
     with pytest.raises(ValueError):
         EllipticCurveQ(0, 0, 0, 0, 0)
+    # the invariants and the two tables are fields, set at construction
+    # before any of them is read; none is part of the model's identity
+    invariants = {"b2": 0, "b4": -14, "b6": 25, "b8": -49, "c4": 336, "c6": -5400,
+                  "discriminant": 5077}
+    fields = {f.name: f for f in dataclasses.fields(EllipticCurveQ)}
+    assert [name for name, f in fields.items() if f.init] == ["a1", "a2", "a3", "a4", "a6"]
+    for name in [*invariants, "_reductions", "_traces"]:
+        assert not (fields[name].init or fields[name].repr or fields[name].compare), name
+    E = EllipticCurveQ(0, 0, 1, -7, 6)
+    assert {k: vars(E)[k] for k in invariants} == invariants
+    assert (vars(E)["_reductions"], vars(E)["_traces"]) == ({}, {})
+    # a curve analyzed at every good p <= 13 keeps full tables, yet equals,
+    # hashes and prints as a fresh object of the same model
+    for label, ainvs in CORPUS:  # new objects: the session's corpus keeps empty tables
+        E_min = EllipticCurveQ(*ainvs).minimal[0]
+        for p in (3, 5, 7, 11, 13):
+            if E_min.discriminant % p:
+                analyze_curve(E_min, p)
+        fresh = EllipticCurveQ(*E_min.ainvs)
+        assert E_min._traces and E_min._reductions.keys() == set(E_min.bad_primes), label
+        assert (fresh._traces, fresh._reductions) == ({}, {}), label
+        assert fresh == E_min and hash(fresh) == hash(E_min), label
+        assert repr(fresh) == repr(E_min) == (
+            "EllipticCurveQ(a1={}, a2={}, a3={}, a4={}, a6={})".format(*E_min.ainvs)
+        ), label
+    # each object has tables of its own
+    E1, E2 = EllipticCurveQ(0, 0, 1, -7, 6), EllipticCurveQ(0, 0, 1, -7, 6)
+    count_points_ap(E1, 5)
+    assert E1._traces.keys() == {5} and E2._traces == {}
+    assert E1._traces is not E2._traces and E1._reductions is not E2._reductions
 
 
 def test_5077a1_basic_data(e5077):
