@@ -9,33 +9,16 @@ byte-identical reports.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, IwkError, PrecisionExhausted, SearchExhausted
 from .padic import INFINITY, primerange
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
-from .zpmod import (
-    FgZpModule,
-    Presentation,
-    diagonal_presentation,
-    fitting_from_minors,
-    module_from_presentation,
-    phi,
-    phi_bruteforce,
-)
-from .iwasawa import (
-    DistinguishedPoly,
-    ElementaryLambdaModule,
-    growth_window_check,
-    window_levels,
-)
 from .growth import (
     WORKED_EXAMPLE_CURVE,
     IwasawaInvariants,
@@ -61,6 +44,13 @@ from .conditions import (
 )
 from .twist import DEFAULT_SEARCH_BOUND, construct_c2_twist
 
+# The Lambda side (zpmod, iwasawa) is imported inside the functions that use
+# it, so that analyze, twist and cache never load it.  The curve layers stay
+# at module level: a function-local import would cost each of the thousands
+# of analyze_curve calls a corpus run makes.
+if TYPE_CHECKING:
+    from .zpmod import FgZpModule, Presentation
+
 CACHE_ENV_VAR = "IWK_CACHE_DIR"
 DEFAULT_CACHE_DIR = ".iwk-cache"
 CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
@@ -83,6 +73,8 @@ def parse_curve(text: str) -> EllipticCurveQ:
 
 def parse_module_literal(text: str) -> FgZpModule:
     """'p:e1,e2,...#r', both parts optional; every comma separates two exponents."""
+    from .zpmod import FgZpModule
+
     m = re.fullmatch(r"(\d+):\s*(\d+(?:\s*,\s*\d+)*)?\s*(?:#(\d+))?", text.strip())
     if not m:
         raise ValueError("module literal must look like 'p:e1,e2#r'")
@@ -130,6 +122,8 @@ def _json_int(x, field: str) -> int:
 
 def read_presentation(path: str) -> Presentation:
     """{"p": .., "precision": .., "matrix": [[..], ..]} from a JSON file."""
+    from .zpmod import Presentation
+
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict):
@@ -144,6 +138,8 @@ def read_presentation(path: str) -> Presentation:
 
 def parse_n_range(text: str) -> List[int]:
     """'2..5' or comma-separated levels: at least one, none repeated."""
+    from .iwasawa import window_levels
+
     lo, dots, hi = text.strip().partition("..")
     if dots:
         levels = list(range(int(lo), int(hi) + 1))
@@ -174,6 +170,8 @@ class CurveRecord:
 
 
 def ingest_curves(path: str) -> List[CurveRecord]:
+    import csv
+
     records: List[CurveRecord] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -198,6 +196,8 @@ def ingest_curves(path: str) -> List[CurveRecord]:
 
 def _cache_path(E: EllipticCurveQ) -> str:
     """The trace-cache file of E, keyed by a hash of its minimal model."""
+    import hashlib
+
     key = hashlib.sha256(",".join(map(str, E.minimal[0].ainvs)).encode()).hexdigest()[:16]
     return os.path.join(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE_DIR), key + ".jsonl")
 
@@ -380,6 +380,14 @@ def _cmd_twist(args) -> int:
 
 
 def _cmd_fitting(args) -> int:
+    from .zpmod import (
+        diagonal_presentation,
+        fitting_from_minors,
+        module_from_presentation,
+        phi,
+        phi_bruteforce,
+    )
+
     i = args.i
     checks: Dict = {}
     if args.module is not None:
@@ -435,6 +443,8 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_coinv(args) -> int:
+    from .iwasawa import DistinguishedPoly, ElementaryLambdaModule, growth_window_check
+
     coeffs = parse_poly_literal(args.poly)
     if coeffs[-1] != 1:
         raise ValueError("polynomial must be monic")

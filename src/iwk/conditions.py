@@ -15,8 +15,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import BadReductionPrime, PostconditionFailed
-from .iwasawa import poly_mul
-from .padic import _iroot, isprime, kronecker_symbol, multiplicative_order, ord_p, primerange, sympy
+from .padic import _iroot, isprime, kronecker_symbol, multiplicative_order, ord_p, poly_mul, primerange, sympy
 from .ecq import (
     EllipticCurveQ,
     ReductionKind,

@@ -15,23 +15,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .errors import PostconditionFailed, PrecisionExhausted
-from .padic import ord_p, _check_prime
+from .padic import ord_p, poly_mul, _check_prime
 from .zpmod import Presentation, phi0_of_cokernel
 
 
 # ---------------------------------------------------------------------------
 # Integer polynomial helpers (coefficient lists, ascending degree).
-
-
-def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def poly_mod_monic(a: Sequence[int], m: Sequence[int]) -> List[int]:

@@ -1,4 +1,5 @@
-"""Exact truncated p-adic arithmetic: valuations, residue symbols, Teichmuller lifts.
+"""Exact truncated p-adic arithmetic: valuations, residue symbols, Teichmuller lifts,
+and the integer polynomial product.
 
 Everything here works with plain Python integers; a p-adic integer at
 precision N is its canonical representative in [0, p^N).
@@ -10,7 +11,7 @@ import bisect
 import functools
 import itertools
 import math
-from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from .errors import IwkError, PostconditionFailed
 
@@ -277,15 +278,42 @@ def _check_prime(p: int) -> None:
 
 
 def ord_p(x: int, p: int) -> Valuation:
-    """Exponent of p in x, normalized by ord_p(p) = 1; INFINITY iff x = 0."""
+    """Exponent of p in x, normalized by ord_p(p) = 1; INFINITY iff x = 0.
+
+    Small valuations, the common case, take one division by p per unit; a
+    valuation past 16 goes on in _ord_p_doubling, whose O(log v) divisions
+    replace the v that would make this loop quadratic in the size of x."""
     _check_prime(p)
     if x == 0:
         return INFINITY
-    x = abs(x)
     v = 0
     while x % p == 0:
         x //= p
         v += 1
+        if v == 16:
+            return v + _ord_p_doubling(x, p)
+    return v
+
+
+def _ord_p_doubling(x: int, p: int) -> int:
+    """Exponent of p in the nonzero x: divide by p, p^2, p^4, ... while each
+    divides, then by the same powers from the largest down."""
+    v, q, powers = 0, p, []
+    while True:
+        y, r = divmod(x, q)
+        if r:
+            break
+        x = y
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    # what is left of the valuation is below 2^len(powers): its binary digits
+    while powers:
+        q = powers.pop()
+        y, r = divmod(x, q)
+        if not r:
+            x = y
+            v += 1 << len(powers)
     return v
 
 
@@ -371,3 +399,14 @@ def teichmuller(a: int, p: int, N: int) -> int:
         raise PostconditionFailed("Teichmuller lift is not a (p-1)-st root of unity lifting a")
     return x
 
+
+def poly_mul(a: Sequence[int], b: Sequence[int]) -> List[int]:
+    """Product of two integer polynomials, coefficient lists in ascending degree."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out

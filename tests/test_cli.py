@@ -815,37 +815,79 @@ def test_cache_transparency(tmp_path, monkeypatch):
 
 
 def test_cold_imports(tmp_path):
-    # the command-line tool loads sympy only for the work that needs it, a
-    # division polynomial that no certificate decides or a factor that rho
-    # leaves whole, and numpy never: not for a twist, for 5077a1 at p = 7,
-    # for 11a1 at p = 3, whose psi_3 its Delta shows irreducible, or for a
-    # trace cache
+    # each subcommand runs in a fresh interpreter and loads only what its
+    # work needs.  sympy only for a division polynomial that no certificate
+    # decides or a factor that rho leaves whole, and numpy never: not for a
+    # twist, for 5077a1 at p = 7, for 11a1 at p = 3, whose psi_3 its Delta
+    # shows irreducible, or for a trace cache.  The curve subcommands leave
+    # the Lambda side (zpmod, iwasawa) unloaded, and analyze and twist also
+    # the csv and hashlib that only the CSV reader and the trace cache use
     import subprocess
-    import sys
 
     code = (
-        "import sys\n"
-        "import iwk, iwk.cli\n"
-        "loaded = lambda: sorted({'sympy', 'numpy'} & set(sys.modules))\n"
-        "assert loaded() == [], loaded()\n"
-        "iwk.cli.main(['coinv', '--poly', 'T^2+3*T+6', '--p', '3', '--n-range', '1..5'])\n"
-        "assert loaded() == [], loaded()\n"
-        "iwk.cli.main(['fitting', '--module', '7:3,1', '--i', '1'])\n"
-        "assert loaded() == [], loaded()\n"
-        "iwk.cli.main(['twist', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
-        "assert loaded() == [], loaded()\n"
-        "iwk.cli.main(['analyze', '--curve', '0,0,1,-7,6', '--p', '7'])\n"
-        "assert loaded() == [], loaded()\n"
-        "iwk.cli.main(['analyze', '--curve', '0,-1,1,-10,-20', '--p', '3'])\n"
-        "assert loaded() == [], loaded()\n"
-        "iwk.cli.main(['cache', '--curve', '0,0,1,-7,6', '--bound', '2000'])\n"
-        "assert loaded() == [], loaded()\n"
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import iwk.cli\n"
+        "iwk.cli.main(sys.argv[2:])\n"
+        "with open(sys.argv[1], 'w') as fh:\n"
+        "    json.dump(sorted(set(sys.modules) - before), fh)\n"
     )
+    never = {"sympy", "numpy"}
+    curves_only = never | {"iwk.zpmod", "iwk.iwasawa"}
+    steps = [
+        (["coinv", "--poly", "T^2+3*T+6", "--p", "3", "--n-range", "1..5"], never),
+        (["fitting", "--module", "7:3,1", "--i", "1"], never),
+        (["twist", "--curve", "0,-1,1,-10,-20", "--p", "3"], curves_only | {"csv", "hashlib"}),
+        (["analyze", "--curve", "0,0,1,-7,6", "--p", "7"], curves_only | {"csv", "hashlib"}),
+        (["analyze", "--curve", "0,-1,1,-10,-20", "--p", "3"], curves_only | {"csv", "hashlib"}),
+        (["cache", "--curve", "0,0,1,-7,6", "--bound", "2000"], curves_only),
+    ]
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src, "IWK_CACHE_DIR": str(tmp_path)}
+    cache_dir = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": src, "IWK_CACHE_DIR": str(cache_dir)}
+    loaded_file = tmp_path / "loaded.json"
+    for argv, absent in steps:
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(loaded_file), *argv], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        loaded = set(json.loads(loaded_file.read_text()))
+        assert "iwk.cli" in loaded
+        assert loaded & absent == set(), (argv[0], sorted(loaded & absent))
+    assert os.listdir(cache_dir), "the cache step wrote no file"
+
+
+def test_package_exports_are_lazy():
+    import subprocess
+
+    import iwk
+
+    # a fresh `import iwk` loads none of the layers, and `iwk.<layer>` loads one
+    code = (
+        "import json, sys, iwk\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('iwk'))\n"
+        "print(json.dumps([loaded(), iwk.growth.__name__, loaded()]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert os.listdir(tmp_path), "the cache step wrote no file"
+    assert json.loads(result.stdout) == [["iwk"], "iwk.growth", ["iwk", "iwk.errors", "iwk.growth", "iwk.padic"]]
+    # every exported name is the object that its layer defines
+    assert len(set(iwk.__all__)) == len(iwk.__all__) == 60
+    for name in iwk.__all__:
+        value = getattr(iwk, name)
+        home = "iwk.padic" if name in ("INFINITY", "Valuation") else value.__module__
+        assert home.startswith("iwk.") and getattr(importlib.import_module(home), name) is value, name
+    # a star import binds them all, and no layer module
+    namespace = {}
+    exec("from iwk import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(iwk.__all__)
+    assert all(namespace[name] is getattr(iwk, name) for name in iwk.__all__)
+    assert set(iwk.__all__) <= set(dir(iwk))
+    with pytest.raises(AttributeError, match="no attribute 'poly_mul'"):
+        iwk.poly_mul
+    with pytest.raises(ImportError):
+        exec("from iwk import no_such_name", {})
 
 
 def test_cli_subprocess_smoke():
@@ -890,7 +932,9 @@ def test_library_only_exports_are_listed():
     attribute that matches a (cached) property (so the walk over-approximates
     what is reached).  Every top-level function and class and every
     non-dunder method must be reached, and no LIBRARY_ONLY entry may be one
-    that the subcommands reach."""
+    that the subcommands reach.  A module's PEP 562 hooks, `__getattr__` and
+    `__dir__`, are reached by the interpreter, as dunder methods are, so the
+    walk starts from them too."""
     import ast
     import pathlib
 
@@ -953,4 +997,5 @@ def test_library_only_exports_are_listed():
     # the group-ring route's character values are bench-only; an enum's
     # `.value` read must not count as a call of DeltaCharacter.value
     assert reach(handlers) & {"teichmuller", "value"} == set()
-    assert defined - reach(handlers + list(LIBRARY_ONLY)) == set()
+    hooks = ["__getattr__", "__dir__"]
+    assert defined - reach(handlers + list(LIBRARY_ONLY) + hooks) == set()

@@ -42,6 +42,36 @@ def test_ord_additivity():
     assert ord_p(0, 3) + 5 == INFINITY
 
 
+def _ord_p_one_at_a_time(x, p):
+    """The reference: one division by p per unit of valuation."""
+    x, v = abs(x), 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_ord_matches_one_division_per_unit():
+    # ord_p divides one p at a time up to 16, and past it by p, p^2, p^4, ...
+    # and back down.  Every v up to 70, on both sides of each switch, and
+    # seeded v up to 2,000 are compared with the reference loop; seeded v up
+    # to 10^5, where that loop takes seconds, with the valuation that built
+    # x.  For the 20-digit prime both ranges shrink, so that p^v stays below
+    # 2 * 10^4 and 3 * 10^5 bits
+    rng = random.Random(31)
+    for p in (2, 3, 5, 7, 10**19 + 51):
+        assert ord_p(0, p) == INFINITY
+        units = [1, -1, p - 1, rng.randrange(1, 10**40) * p + 1, -(rng.randrange(1, 10**40) * p + p - 1)]
+        top = min(2000, 20000 // p.bit_length())
+        for v in list(range(71)) + [int(top ** rng.random()) for _ in range(20)]:
+            for u in units:
+                x = p**v * u
+                assert ord_p(x, p) == _ord_p_one_at_a_time(x, p) == v, (p, v, u)
+        top = min(10**5, 300000 // p.bit_length())
+        for v in [top] + [int(top ** rng.random()) for _ in range(4)]:
+            assert ord_p(p**v * rng.choice(units), p) == v, (p, v)
+
+
 def test_ord_requires_prime():
     with pytest.raises(ValueError):
         ord_p(10, 6)
