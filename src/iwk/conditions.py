@@ -10,10 +10,10 @@ primes leave a class open.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from ._record import Record
 from .errors import BadReductionPrime, PostconditionFailed
 from .padic import _iroot, isprime, kronecker_symbol, multiplicative_order, ord_p, poly_mul, primerange, sympy
 from .ecq import (
@@ -32,17 +32,18 @@ class Status(enum.Enum):
     INCONCLUSIVE = "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: Status
-    witnesses: Tuple[Tuple[int, str], ...] = ()
-    parameters: Dict = field(default_factory=dict)
+class Verdict(Record):
+    _fields = ("status", "witnesses", "parameters")
 
-    def __post_init__(self):
-        if self.status == Status.FAILS and not self.witnesses:
+    def __init__(self, status: Status, witnesses: Tuple[Tuple[int, str], ...] = (),
+                 parameters: Optional[Dict] = None):
+        if parameters is None:
+            parameters = {}
+        if status == Status.FAILS and not witnesses:
             raise ValueError("a FAILS verdict must carry a witness")
-        if self.status == Status.INCONCLUSIVE and not self.parameters:
+        if status == Status.INCONCLUSIVE and not parameters:
             raise ValueError("an INCONCLUSIVE verdict must carry its budget")
+        self.__dict__.update(status=status, witnesses=witnesses, parameters=parameters)
 
     def to_json_dict(self) -> dict:
         return {

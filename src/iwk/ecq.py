@@ -12,10 +12,10 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
+from ._record import Record
 from .errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
 from .padic import Valuation, factorint, kronecker_symbol, multiplicative_order, ord_p
 
@@ -34,37 +34,17 @@ def check_prime_bound(bound: int) -> None:
         raise BudgetExceeded(f"prime bound {bound} exceeds {AP_PRIME_BOUND}")
 
 
-@dataclass(frozen=True)
-class EllipticCurveQ:
+class EllipticCurveQ(Record):
     """Integral Weierstrass model [a1, a2, a3, a4, a6].
 
-    The b- and c-invariants and the discriminant are set at construction;
-    each object keeps its own tables of the reduction types and traces
-    computed on it.
+    The b- and c-invariants b2, b4, b6, b8, c4, c6 and the discriminant are
+    set at construction; each object keeps its own tables of the reduction
+    types, traces and quadratic twists computed on it.
     """
 
-    a1: int
-    a2: int
-    a3: int
-    a4: int
-    a6: int
-    b2: int = field(init=False, repr=False, compare=False)
-    b4: int = field(init=False, repr=False, compare=False)
-    b6: int = field(init=False, repr=False, compare=False)
-    b8: int = field(init=False, repr=False, compare=False)
-    c4: int = field(init=False, repr=False, compare=False)
-    c6: int = field(init=False, repr=False, compare=False)
-    discriminant: int = field(init=False, repr=False, compare=False)
-    # `reduction_type(self, ell)` and `count_points_ap(self, ell)` at each ell so far
-    _reductions: Dict[int, "ReductionInfo"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _traces: Dict[int, "TraceRecord"] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("a1", "a2", "a3", "a4", "a6")
 
-    def __post_init__(self):
-        a1, a2, a3, a4, a6 = self.a1, self.a2, self.a3, self.a4, self.a6
+    def __init__(self, a1: int, a2: int, a3: int, a4: int, a6: int):
         b2 = a1**2 + 4 * a2
         b4 = 2 * a4 + a1 * a3
         b6 = a3**2 + 4 * a6
@@ -76,7 +56,13 @@ class EllipticCurveQ:
             raise ValueError("singular Weierstrass equation")
         if c4**3 - c6**2 != 1728 * disc:
             raise PostconditionFailed("c4^3 - c6^2 != 1728 * discriminant")
-        self.__dict__.update(b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, discriminant=disc)
+        # `reduction_type(self, ell)`, `count_points_ap(self, ell)` and
+        # `quadratic_twist(self, d)` at each ell or d so far
+        self.__dict__.update(
+            a1=a1, a2=a2, a3=a3, a4=a4, a6=a6,
+            b2=b2, b4=b4, b6=b6, b8=b8, c4=c4, c6=c6, discriminant=disc,
+            _reductions={}, _traces={}, _twists={},
+        )
 
     @property
     def ainvs(self) -> Tuple[int, int, int, int, int]:
@@ -136,26 +122,24 @@ class TwistClass(enum.Enum):
     UNIT_RAMIFIED = "UNIT_RAMIFIED"
 
 
-@dataclass(frozen=True)
-class ReductionInfo:
-    prime: int
-    kind: ReductionKind
-    potentially: Potentially
-    twist_class_gamma: Optional[TwistClass] = None
+class ReductionInfo(Record):
+    _fields = ("prime", "kind", "potentially", "twist_class_gamma")
 
-    def __post_init__(self):
-        if self.kind == ReductionKind.GOOD and self.potentially != Potentially.POT_GOOD:
+    def __init__(self, prime: int, kind: ReductionKind, potentially: Potentially,
+                 twist_class_gamma: Optional[TwistClass] = None):
+        if kind == ReductionKind.GOOD and potentially != Potentially.POT_GOOD:
             raise PostconditionFailed("good reduction must be potentially good")
+        self.__dict__.update(prime=prime, kind=kind, potentially=potentially,
+                             twist_class_gamma=twist_class_gamma)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    prime: int
-    a_ell: int
+class TraceRecord(Record):
+    _fields = ("prime", "a_ell")
 
-    def __post_init__(self):
-        if self.a_ell**2 > 4 * self.prime:
-            raise PostconditionFailed(f"a_ell = {self.a_ell} violates the Hasse bound at {self.prime}")
+    def __init__(self, prime: int, a_ell: int):
+        if a_ell**2 > 4 * prime:
+            raise PostconditionFailed(f"a_ell = {a_ell} violates the Hasse bound at {prime}")
+        self.__dict__.update(prime=prime, a_ell=a_ell)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +302,11 @@ def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
 
     The short model's Delta, 6^12 d^6 Delta_E, has primes 2, 3, E's and d's.  E's
     primes are divided out of d, and only the part of d prime to Delta_E is factored.
+    Each twist is built once per curve object and d, and kept on E.
     """
+    E_tw = E._twists.get(d)
+    if E_tw is not None:
+        return E_tw
     if d == 0:
         raise ValueError("twist parameter must be squarefree and nonzero")
     rest, d_primes = abs(d), {}
@@ -337,6 +325,7 @@ def quadratic_twist(E: EllipticCurveQ, d: int) -> EllipticCurveQ:
     E_tw, _ = minimal_model(twisted)
     if E_tw.j_invariant != E.j_invariant:
         raise PostconditionFailed(f"the twist by {d} changed the j-invariant")
+    E._twists[d] = E_tw
     return E_tw
 
 

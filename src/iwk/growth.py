@@ -7,9 +7,9 @@ beats every linear term: comparison is lexicographic in (mu_hat, lambda_hat).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from ._record import Record
 from .padic import _check_prime
 
 
@@ -19,12 +19,11 @@ class Comparison(enum.Enum):
     B_DOMINATES = "B_DOMINATES"
 
 
-@dataclass(frozen=True)
-class GrowthClass:
-    p: int
-    mu_hat: int
-    lambda_hat: int
-    label: str = ""
+class GrowthClass(Record):
+    _fields = ("p", "mu_hat", "lambda_hat", "label")
+
+    def __init__(self, p: int, mu_hat: int, lambda_hat: int, label: str = ""):
+        self.__dict__.update(p=p, mu_hat=mu_hat, lambda_hat=lambda_hat, label=label)
 
     def to_json_dict(self) -> dict:
         return {
@@ -35,20 +34,17 @@ class GrowthClass:
         }
 
 
-@dataclass(frozen=True)
-class IwasawaInvariants:
+class IwasawaInvariants(Record):
     """mu and lambda of a torsion Iwasawa module; always ingested, with the
     external provenance recorded verbatim."""
 
-    p: int
-    mu: int
-    lam: int
-    source: str = ""
+    _fields = ("p", "mu", "lam", "source")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.mu < 0 or self.lam < 0:
+    def __init__(self, p: int, mu: int, lam: int, source: str = ""):
+        _check_prime(p)
+        if mu < 0 or lam < 0:
             raise ValueError("invariants must be non-negative")
+        self.__dict__.update(p=p, mu=mu, lam=lam, source=source)
 
 
 def compare(a: GrowthClass, b: GrowthClass) -> Comparison:

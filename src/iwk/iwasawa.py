@@ -11,9 +11,9 @@ rank lambda, never asymptotics.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
+from ._record import Record
 from .errors import PostconditionFailed, PrecisionExhausted
 from .padic import ord_p, poly_mul, _check_prime
 from .zpmod import Presentation, phi0_of_cokernel
@@ -90,18 +90,17 @@ def _mul_trunc(a: Sequence[int], b: Sequence[int], mod: int, D: int) -> List[int
 # Domain types.
 
 
-@dataclass(frozen=True)
-class DistinguishedPoly:
+class DistinguishedPoly(Record):
     """Monic polynomial of degree len(coefficients) whose lower coefficients
     are all divisible by p; the leading 1 is implicit."""
 
-    p: int
-    coefficients: Tuple[int, ...]
+    _fields = ("p", "coefficients")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if any(c % self.p for c in self.coefficients):
+    def __init__(self, p: int, coefficients: Tuple[int, ...]):
+        _check_prime(p)
+        if any(c % p for c in coefficients):
             raise ValueError("lower coefficients must be divisible by p")
+        self.__dict__.update(p=p, coefficients=coefficients)
 
     @property
     def degree(self) -> int:
@@ -111,23 +110,21 @@ class DistinguishedPoly:
         return list(self.coefficients) + [1]
 
 
-@dataclass(frozen=True)
-class ElementaryLambdaModule:
+class ElementaryLambdaModule(Record):
     """Cyclic data Lambda/(p^mu * prod f_k^{m_k}) of a torsion module."""
 
-    p: int
-    mu: int
-    factors: Tuple[Tuple[DistinguishedPoly, int], ...] = ()
+    _fields = ("p", "mu", "factors")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.mu < 0:
+    def __init__(self, p: int, mu: int, factors: Tuple[Tuple[DistinguishedPoly, int], ...] = ()):
+        _check_prime(p)
+        if mu < 0:
             raise ValueError("mu must be >= 0")
-        for f, mult in self.factors:
-            if f.p != self.p:
+        for f, mult in factors:
+            if f.p != p:
                 raise ValueError("mixed primes in factors")
             if mult < 1:
                 raise ValueError("multiplicities must be >= 1")
+        self.__dict__.update(p=p, mu=mu, factors=factors)
 
     @property
     def lambda_invariant(self) -> int:
@@ -142,23 +139,20 @@ class ElementaryLambdaModule:
         return g
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(Record):
     """Power series mod (p^N, T^D) with canonical coefficients."""
 
-    p: int
-    p_precision: int
-    T_precision: int
-    coefficients: Tuple[int, ...]
+    _fields = ("p", "p_precision", "T_precision", "coefficients")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.p_precision < 1 or self.T_precision < 1:
+    def __init__(self, p: int, p_precision: int, T_precision: int, coefficients: Tuple[int, ...]):
+        _check_prime(p)
+        if p_precision < 1 or T_precision < 1:
             raise ValueError("precisions must be >= 1")
-        mod = self.p**self.p_precision
-        coeffs = tuple(c % mod for c in self.coefficients)[: self.T_precision]
-        coeffs = coeffs + (0,) * (self.T_precision - len(coeffs))
-        object.__setattr__(self, "coefficients", coeffs)
+        mod = p**p_precision
+        coeffs = tuple(c % mod for c in coefficients)[:T_precision]
+        coeffs = coeffs + (0,) * (T_precision - len(coeffs))
+        self.__dict__.update(p=p, p_precision=p_precision, T_precision=T_precision,
+                             coefficients=coeffs)
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coefficients)
@@ -291,13 +285,13 @@ def coinvariant_order(M: ElementaryLambdaModule, m: int, n: int) -> int:
     return order + phi0_of_cokernel(Presentation(p, n - mu, tuple(zip(*cols))))
 
 
-@dataclass(frozen=True)
-class GrowthWindowReport:
-    levels: Tuple[int, ...]
-    orders: Tuple[int, ...]
-    deviations: Tuple[int, ...]
-    bounded: bool
-    max_deviation: int
+class GrowthWindowReport(Record):
+    _fields = ("levels", "orders", "deviations", "bounded", "max_deviation")
+
+    def __init__(self, levels: Tuple[int, ...], orders: Tuple[int, ...],
+                 deviations: Tuple[int, ...], bounded: bool, max_deviation: int):
+        self.__dict__.update(levels=levels, orders=orders, deviations=deviations,
+                             bounded=bounded, max_deviation=max_deviation)
 
 
 def window_levels(levels: Sequence[int]) -> Tuple[int, ...]:

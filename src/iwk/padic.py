@@ -93,11 +93,14 @@ def _strong_lucas_prp(n: int) -> bool:
 
 
 def isprime(n: int) -> bool:
-    """Whether n is prime: deterministic Miller-Rabin to the first 13 prime
-    bases below psi_13, and the strong BPSW test at or above it, Miller-Rabin
-    to the base 2 and then _strong_lucas_prp, as sympy's isprime there."""
+    """Whether n is prime: read off the process's sieve below its limit,
+    then deterministic Miller-Rabin to the first 13 prime bases below
+    psi_13, and the strong BPSW test at or above it, Miller-Rabin to the
+    base 2 and then _strong_lucas_prp, as sympy's isprime there."""
     if n < 2:
         return False
+    if n < _SIEVE.limit:
+        return _SIEVE.flags[n] == 1
     for q in _MR_BASES:
         if n % q == 0:
             return n == q
@@ -112,11 +115,13 @@ _SIEVE_CAP = 1 << 24
 
 
 class _Sieve:
-    """The primes below `limit`, kept for the life of the process and
-    re-sieved to at least twice the limit whenever a caller needs more."""
+    """The primes below `limit`, with the flag of each n below it, kept for
+    the life of the process and re-sieved to at least twice the limit
+    whenever a caller needs more."""
 
     def __init__(self):
         self.limit = 0
+        self.flags = bytearray()
         self.primes: List[int] = []
 
     def below(self, n: int) -> List[int]:
@@ -127,7 +132,8 @@ class _Sieve:
             for q in range(2, math.isqrt(limit - 1) + 1):
                 if flags[q]:
                     flags[q * q :: q] = bytes(len(range(q * q, limit, q)))
-            self.limit, self.primes = limit, list(itertools.compress(range(limit), flags))
+            self.limit, self.flags = limit, flags
+            self.primes = list(itertools.compress(range(limit), flags))
         return self.primes
 
 

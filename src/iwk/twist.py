@@ -10,9 +10,9 @@ is the only trusted oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Tuple
 
+from ._record import Record
 from .errors import PostconditionFailed, SearchExhausted
 from .padic import isprime, kronecker_symbol, multiplicative_order
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
@@ -44,20 +44,18 @@ def _mod8(S, S0, S1) -> Tuple[str, Optional[int]]:
     return "2 not in S: no mod-8 constraint", None
 
 
-@dataclass(frozen=True)
-class TwistCertificate:
+class TwistCertificate(Record):
     """Full transcript of the construction; `validate` re-checks every
     constraint the chosen q must satisfy."""
 
-    p: int
-    S: Tuple[int, ...]
-    S0: Tuple[int, ...]
-    S1: Tuple[int, ...]
-    N1_star: int
-    epsilon: Dict[int, int] = field(default_factory=dict)
-    q: Optional[int] = None
-    mod8_case: str = "none"
-    d: int = 1
+    _fields = ("p", "S", "S0", "S1", "N1_star", "epsilon", "q", "mod8_case", "d")
+
+    def __init__(self, p: int, S: Tuple[int, ...], S0: Tuple[int, ...], S1: Tuple[int, ...],
+                 N1_star: int, epsilon: Optional[Dict[int, int]] = None, q: Optional[int] = None,
+                 mod8_case: str = "none", d: int = 1):
+        self.__dict__.update(p=p, S=S, S0=S0, S1=S1, N1_star=N1_star,
+                             epsilon={} if epsilon is None else epsilon, q=q,
+                             mod8_case=mod8_case, d=d)
 
     @property
     def trivial(self) -> bool:
@@ -134,7 +132,10 @@ def construct_c2_twist(
     q = next((q for q in range(5, search_bound + 1, 4) if base.inadmissible(q) is None), None)
     if q is None:
         raise SearchExhausted(f"no admissible prime q <= {search_bound}; raise the search bound")
-    cert = replace(base, q=q, d=q * base.N1_star)
+    cert = TwistCertificate(
+        p=p, S=S, S0=S0, S1=S1, N1_star=base.N1_star, epsilon=base.epsilon, q=q,
+        mod8_case=base.mod8_case, d=q * base.N1_star,
+    )
     cert.validate()
     E_twisted = quadratic_twist(E_min, cert.d)
     verdict = check_c2(E_twisted, p)

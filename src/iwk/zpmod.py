@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
+from ._record import Record
 from .errors import BudgetExceeded, PrecisionExhausted
 from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
 
@@ -26,47 +26,41 @@ from .padic import INFINITY, Valuation, ord_p, teichmuller, _check_prime
 # the time, since one minor can be as large as the matrix.
 MINOR_BUDGET = 5 * 10**6
 
-@dataclass(frozen=True)
-class FgZpModule:
+class FgZpModule(Record):
     """Z_p^r + sum of Z/p^{e_j} with e_1 >= e_2 >= ... >= e_s >= 1."""
 
-    p: int
-    free_rank: int = 0
-    exponents: Tuple[int, ...] = ()
+    _fields = ("p", "free_rank", "exponents")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.free_rank < 0:
+    def __init__(self, p: int, free_rank: int = 0, exponents: Tuple[int, ...] = ()):
+        _check_prime(p)
+        if free_rank < 0:
             raise ValueError("free rank must be >= 0")
-        exps = tuple(self.exponents)
+        exps = tuple(exponents)
         if any(e < 1 for e in exps):
             raise ValueError("exponents must be >= 1; drop trivial factors")
         if list(exps) != sorted(exps, reverse=True):
             raise ValueError("exponents must be non-increasing")
-        object.__setattr__(self, "exponents", exps)
+        self.__dict__.update(p=p, free_rank=free_rank, exponents=exps)
 
     @property
     def is_torsion(self) -> bool:
         return self.free_rank == 0
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Record):
     """Relation matrix over Z/p^N; rows index generators, columns relations."""
 
-    p: int
-    precision: int
-    matrix: Tuple[Tuple[int, ...], ...]
+    _fields = ("p", "precision", "matrix")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.precision < 1:
+    def __init__(self, p: int, precision: int, matrix: Tuple[Tuple[int, ...], ...]):
+        _check_prime(p)
+        if precision < 1:
             raise ValueError("precision must be >= 1")
-        mod = self.p**self.precision
-        rows = tuple(tuple(x % mod for x in row) for row in self.matrix)
+        mod = p**precision
+        rows = tuple(tuple(x % mod for x in row) for row in matrix)
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged matrix")
-        object.__setattr__(self, "matrix", rows)
+        self.__dict__.update(p=p, precision=precision, matrix=rows)
 
     @property
     def generators(self) -> int:
@@ -77,24 +71,25 @@ class Presentation:
         return len(self.matrix[0]) if self.matrix else 0
 
 
-@dataclass(frozen=True)
-class FittingIdeal:
+class FittingIdeal(Record):
     """Ideal p^v Z_p; v = 0 is the unit ideal, INFINITY the zero ideal."""
 
-    generator_valuation: Valuation
+    _fields = ("generator_valuation",)
+
+    def __init__(self, generator_valuation: Valuation):
+        self.__dict__["generator_valuation"] = generator_valuation
 
 
-@dataclass(frozen=True)
-class DeltaCharacter:
+class DeltaCharacter(Record):
     """Power omega^index of the Teichmuller character of (Z/p)^x."""
 
-    p: int
-    index: int
+    _fields = ("p", "index")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if not 0 <= self.index <= self.p - 2:
+    def __init__(self, p: int, index: int):
+        _check_prime(p)
+        if not 0 <= index <= p - 2:
             raise ValueError("character index out of range")
+        self.__dict__.update(p=p, index=index)
 
     def value(self, a: int, precision: int) -> int:
         """chi(a) as a residue mod p^precision."""
@@ -358,28 +353,24 @@ def direct_sum(M1: FgZpModule, M2: FgZpModule) -> FgZpModule:
 # Character decomposition of Z/p^N[Delta]-modules, Delta = (Z/p)^x.
 
 
-@dataclass(frozen=True)
-class GroupRingPresentation:
+class GroupRingPresentation(Record):
     """Presentation over Z/p^N[Delta]; an entry is the coefficient tuple
     (c_1, ..., c_{p-1}) of sum_a c_a * delta_a indexed by residues a."""
 
-    p: int
-    precision: int
-    entries: Tuple[Tuple[Tuple[int, ...], ...], ...] = field(default=())
+    _fields = ("p", "precision", "entries")
 
-    def __post_init__(self):
-        _check_prime(self.p)
-        if self.p == 2:
+    def __init__(self, p: int, precision: int,
+                 entries: Tuple[Tuple[Tuple[int, ...], ...], ...] = ()):
+        _check_prime(p)
+        if p == 2:
             raise ValueError("Delta is trivial for p = 2; decomposition undefined")
-        mod = self.p**self.precision
-        ents = tuple(
-            tuple(tuple(c % mod for c in cell) for cell in row) for row in self.entries
-        )
+        mod = p**precision
+        ents = tuple(tuple(tuple(c % mod for c in cell) for cell in row) for row in entries)
         for row in ents:
             for cell in row:
-                if len(cell) != self.p - 1:
+                if len(cell) != p - 1:
                     raise ValueError("entry length must be p-1")
-        object.__setattr__(self, "entries", ents)
+        self.__dict__.update(p=p, precision=precision, entries=ents)
 
     @property
     def generators(self) -> int:

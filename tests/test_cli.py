@@ -161,7 +161,7 @@ def test_prime_bounds_checked_before_scanning(tmp_path, monkeypatch, capsys):
     def count(E, ell):
         raise AssertionError(f"a_{ell} counted before the bound was checked")
 
-    for module in (cli, conditions):
+    for module in (ecq, conditions):
         monkeypatch.setattr(module, "count_points_ap", count)
     for args in (
         ["analyze", "--curve", "0,-1,1,-10,-20", "--p", "3", "--ap-bound", "1000003"],
@@ -273,8 +273,36 @@ def test_each_prime_classified_once(monkeypatch):
     digest = hashlib.sha256()
     assert _golden_run(digest) == 93
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
-    # 114 (curve object, ell) at 581 calls before the classification was kept
-    assert len(calls) > 100 and max(calls.values()) == 1, sum(calls.values())
+    # 114 (curve object, ell) at 581 calls before the classification was
+    # kept, and still 114 while each p built its own twisted curve
+    assert len(calls) == 93 and max(calls.values()) == 1, (len(calls), sum(calls.values()))
+
+
+def test_each_twist_built_once_per_curve_and_d(monkeypatch):
+    # over the golden run a twist is built once per (curve object, d) and
+    # kept on the curve, so a C2 twist at a second p that lands on the same
+    # d reads it back: 60 twists of 42 (curve, d) take 42 builds, where each
+    # p built its own before
+    calls, builds = Counter(), Counter()
+    twist_of, build = twist.quadratic_twist, ecq.minimal_model
+
+    def counting_twist(E, d):
+        calls[E.ainvs, d] += 1
+        return twist_of(E, d)
+
+    def counting_build(E):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "quadratic_twist":
+            builds[caller.f_locals["E"].ainvs, caller.f_locals["d"]] += 1
+        return build(E)
+
+    monkeypatch.setattr(twist, "quadratic_twist", counting_twist)
+    monkeypatch.setattr(ecq, "minimal_model", counting_build)
+    digest = hashlib.sha256()
+    assert _golden_run(digest) == 93
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+    assert builds.keys() == calls.keys() and max(builds.values()) == 1
+    assert (sum(calls.values()), len(calls)) == (60, 42)
 
 
 def test_golden_run_counts_below_shanks_mestre(monkeypatch):
@@ -293,7 +321,7 @@ def test_golden_run_counts_below_shanks_mestre(monkeypatch):
     def no_shanks_mestre(E, ell):
         raise AssertionError(f"Shanks-Mestre run at {ell}")
 
-    for module in (ecq, conditions, cli):
+    for module in (ecq, conditions):
         monkeypatch.setattr(module, "count_points_ap", recording_count)
     monkeypatch.setattr(ecq, "_shanks_mestre", no_shanks_mestre)
     digest = hashlib.sha256()
@@ -389,23 +417,24 @@ def test_each_curve_factored_once(monkeypatch):
     assert cert.d == 65 and factored == [13] and E_tw.j_invariant.denominator == 25
 
     # the golden run: each standard curve's |Delta_min| once, whatever the
-    # number of primes p it is analyzed at, and each twist's q unless q
-    # divides Delta_min; no gcd(c4, c6), no twisted curve's discriminant and
+    # number of primes p it is analyzed at, and the q of each distinct twist
+    # parameter d unless q divides Delta_min, as a twist is built once per
+    # curve object and d; no gcd(c4, c6), no twisted curve's discriminant and
     # no prime of S again
     twists = 0
     for label, a in CORPUS:
         factored.clear()
         E = EllipticCurveQ(*a)
-        expected = []
+        q_of_d = {}
         for p in (3, 5, 7, 11, 13):
             if E.discriminant % p == 0:
                 continue
             report = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
             if report.data["verdicts"]["C2"]["status"] == "FAILS":
-                q = construct_c2_twist(E, p)[1].q
+                cert = construct_c2_twist(E, p)[1]
+                q_of_d[cert.d] = cert.q
                 twists += 1
-                if E.minimal[0].discriminant % q:
-                    expected.append(q)
+        expected = [q for q in q_of_d.values() if E.minimal[0].discriminant % q]
         expected.append(abs(E.minimal[0].discriminant))
         assert sorted(factored) == sorted(expected), label
     assert twists > 0
@@ -644,7 +673,7 @@ def test_cache_round_trip(tmp_path, monkeypatch):
     def recount(*args, **kwargs):
         raise AssertionError("a_ell recomputed although it is cached")
 
-    monkeypatch.setattr(cli, "count_points_ap", recount)
+    monkeypatch.setattr(ecq, "count_points_ap", recount)
     assert cache_traces(E, 100) == first
     assert path.read_bytes() == blobs[1]  # untouched on a pure cache hit
     # files written with a computed_at timestamp still load
@@ -819,9 +848,12 @@ def test_cold_imports(tmp_path):
     # work needs.  sympy only for a division polynomial that no certificate
     # decides or a factor that rho leaves whole, and numpy never: not for a
     # twist, for 5077a1 at p = 7, for 11a1 at p = 3, whose psi_3 its Delta
-    # shows irreducible, or for a trace cache.  The curve subcommands leave
-    # the Lambda side (zpmod, iwasawa) unloaded, and analyze and twist also
-    # the csv and hashlib that only the CSV reader and the trace cache use
+    # shows irreducible, or for a trace cache.  dataclasses and the inspect
+    # it imports never.  The Lambda subcommands and growth leave the curve
+    # layers (ecq, conditions, twist) unloaded, the curve subcommands the
+    # Lambda side (zpmod, iwasawa), analyze also twist, cache all but ecq,
+    # and analyze and twist the csv and hashlib that only the CSV reader and
+    # the trace cache use
     import subprocess
 
     code = (
@@ -832,15 +864,20 @@ def test_cold_imports(tmp_path):
         "with open(sys.argv[1], 'w') as fh:\n"
         "    json.dump(sorted(set(sys.modules) - before), fh)\n"
     )
-    never = {"sympy", "numpy"}
+    never = {"sympy", "numpy", "dataclasses", "inspect"}
+    no_curves = never | {"iwk.ecq", "iwk.conditions", "iwk.twist"}
     curves_only = never | {"iwk.zpmod", "iwk.iwasawa"}
+    analyze = curves_only | {"csv", "hashlib", "iwk.twist"}
     steps = [
-        (["coinv", "--poly", "T^2+3*T+6", "--p", "3", "--n-range", "1..5"], never),
-        (["fitting", "--module", "7:3,1", "--i", "1"], never),
+        (["coinv", "--poly", "T^2+3*T+6", "--p", "3", "--n-range", "1..5"], no_curves),
+        (["fitting", "--module", "7:3,1", "--i", "1"], no_curves),
+        (["growth", "--p", "7", "--mu", "0", "--lambda", "2", "--compare", "7,1,0"], no_curves),
         (["twist", "--curve", "0,-1,1,-10,-20", "--p", "3"], curves_only | {"csv", "hashlib"}),
-        (["analyze", "--curve", "0,0,1,-7,6", "--p", "7"], curves_only | {"csv", "hashlib"}),
-        (["analyze", "--curve", "0,-1,1,-10,-20", "--p", "3"], curves_only | {"csv", "hashlib"}),
-        (["cache", "--curve", "0,0,1,-7,6", "--bound", "2000"], curves_only),
+        (["analyze", "--curve", "0,0,1,-7,6", "--p", "7", "--mu", "0", "--lambda", "2",
+          "--rank", "3"], analyze),
+        (["analyze", "--curve", "0,-1,1,-10,-20", "--p", "3"], analyze),
+        (["cache", "--curve", "0,0,1,-7,6", "--bound", "2000"],
+         curves_only | {"iwk.conditions", "iwk.twist"}),
     ]
     src = os.path.dirname(os.path.dirname(cli.__file__))
     cache_dir = tmp_path / "cache"
@@ -871,7 +908,9 @@ def test_package_exports_are_lazy():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout) == [["iwk"], "iwk.growth", ["iwk", "iwk.errors", "iwk.growth", "iwk.padic"]]
+    assert json.loads(result.stdout) == [
+        ["iwk"], "iwk.growth", ["iwk", "iwk._record", "iwk.errors", "iwk.growth", "iwk.padic"]
+    ]
     # every exported name is the object that its layer defines
     assert len(set(iwk.__all__)) == len(iwk.__all__) == 60
     for name in iwk.__all__:

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import math
 import os
 import random
@@ -36,17 +36,22 @@ def test_curve_invariants(corpus):
         assert E.c4**3 - E.c6**2 == 1728 * E.discriminant
     with pytest.raises(ValueError):
         EllipticCurveQ(0, 0, 0, 0, 0)
-    # the invariants and the two tables are fields, set at construction
-    # before any of them is read; none is part of the model's identity
+    # the constructor takes the five coefficients alone; the invariants and
+    # the three tables are set at construction, before any of them is read,
+    # and none is part of the model's identity: with every one of them
+    # changed, a curve still equals, hashes and prints as a fresh one
+    assert list(inspect.signature(EllipticCurveQ).parameters) == ["a1", "a2", "a3", "a4", "a6"]
     invariants = {"b2": 0, "b4": -14, "b6": 25, "b8": -49, "c4": 336, "c6": -5400,
                   "discriminant": 5077}
-    fields = {f.name: f for f in dataclasses.fields(EllipticCurveQ)}
-    assert [name for name, f in fields.items() if f.init] == ["a1", "a2", "a3", "a4", "a6"]
-    for name in [*invariants, "_reductions", "_traces"]:
-        assert not (fields[name].init or fields[name].repr or fields[name].compare), name
     E = EllipticCurveQ(0, 0, 1, -7, 6)
     assert {k: vars(E)[k] for k in invariants} == invariants
-    assert (vars(E)["_reductions"], vars(E)["_traces"]) == ({}, {})
+    assert (vars(E)["_reductions"], vars(E)["_traces"], vars(E)["_twists"]) == ({}, {}, {})
+    altered = EllipticCurveQ(0, 0, 1, -7, 6)
+    vars(altered).update({k: v + 1 for k, v in invariants.items()},
+                         _reductions={2: None}, _traces={3: None}, _twists={5: None})
+    assert altered == E and hash(altered) == hash(E) == hash((0, 0, 1, -7, 6))
+    assert repr(altered) == repr(E) == "EllipticCurveQ(a1=0, a2=0, a3=1, a4=-7, a6=6)"
+    assert E != EllipticCurveQ(0, -1, 1, -10, -20)
     # a curve analyzed at every good p <= 13 keeps full tables, yet equals,
     # hashes and prints as a fresh object of the same model
     for label, ainvs in CORPUS:  # new objects: the session's corpus keeps empty tables
@@ -66,6 +71,7 @@ def test_curve_invariants(corpus):
     count_points_ap(E1, 5)
     assert E1._traces.keys() == {5} and E2._traces == {}
     assert E1._traces is not E2._traces and E1._reductions is not E2._reductions
+    assert E1._twists is not E2._twists
 
 
 def test_5077a1_basic_data(e5077):

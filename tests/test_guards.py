@@ -38,6 +38,18 @@ def test_no_bare_asserts_in_src():
     assert stray == []
 
 
+def test_no_dataclasses_in_src():
+    # `import dataclasses` brings inspect, ast, dis and tokenize into every
+    # cold start; the frozen value classes derive from iwk._record.Record
+    stray = [
+        f"{path.relative_to(ROOT)}:{lineno}"
+        for path in source_files()
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if re.match(r"\s*(import|from)\s+dataclasses\b", line)
+    ]
+    assert stray == []
+
+
 def test_sympy_imported_only_in_padic():
     # sympy is imported behind padic's one lazy gate and nowhere else; the
     # `from .padic import sympy` names in cli.py and twist.py pass

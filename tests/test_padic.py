@@ -172,7 +172,9 @@ def test_teichmuller_properties():
 # Primality and prime ranges, against sympy.
 
 
-def test_isprime_matches_sympy():
+def test_isprime_matches_sympy(monkeypatch):
+    # an empty sieve, so that each n below goes through Miller-Rabin
+    monkeypatch.setattr(padic, "_SIEVE", padic._Sieve())
     small = [padic.isprime(n) for n in range(2 * 10**5)]
     assert small == [sympy.isprime(n) for n in range(2 * 10**5)]
     rng = random.Random(20170)
@@ -197,6 +199,35 @@ def test_isprime_rejects_strong_pseudoprimes():
     for n in (3215031751, 3825123056546413051, PSI_12):
         assert not padic.isprime(n), n
     assert padic.isprime(2**61 - 1)  # a prime the Miller-Rabin path decides
+
+
+def test_isprime_reads_the_sieve_below_its_limit(monkeypatch):
+    # below a grown sieve's limit isprime and the prime check answer from the
+    # sieve, with no Miller-Rabin round, and agree with it at every n there,
+    # Carmichael numbers and base-2 strong pseudoprimes included
+    monkeypatch.setattr(padic, "_SIEVE", padic._Sieve())
+    assert list(padic.primerange(2, 1 << 16)) == list(primerange(2, 1 << 16))
+    limit = padic._SIEVE.limit
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041,
+                  46657, 52633, 62745, 63973]
+    strong_base_2 = [2047, 3277, 4033, 4681, 8321, 15841, 29341, 42799, 49141, 52633, 65281]
+    assert all(pow(2, n - 1, n) == 1 and not sympy.isprime(n) for n in carmichael)
+    assert all(padic._strong_prp(n, 2) and not sympy.isprime(n) for n in strong_base_2)
+    assert max(carmichael + strong_base_2) < limit
+
+    def no_round(n, a):
+        raise AssertionError(f"a Miller-Rabin round on {n} below the sieve's limit {limit}")
+
+    monkeypatch.setattr(padic, "_strong_prp", no_round)
+    assert not any(padic.isprime(n) for n in carmichael + strong_base_2)
+    assert [n for n in range(-3, limit) if padic.isprime(n)] == padic._SIEVE.primes
+    check_prime = padic._check_prime.__wrapped__  # past its cache
+    check_prime(65521)
+    for n in (561, 65281):
+        with pytest.raises(ValueError, match="not prime"):
+            check_prime(n)
+    with pytest.raises(AssertionError, match="Miller-Rabin round"):
+        padic.isprime(sympy.nextprime(limit))
 
 
 class _NoSympy:

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -249,6 +248,9 @@ def test_seeded_twist_golden():
 def test_validate_rejects_each_broken_rule(ainvs, p, q, rule):
     _, cert = construct_c2_twist(EllipticCurveQ(*ainvs), p)
     cert.validate()
-    mutant = dataclasses.replace(cert, q=q, d=q * cert.N1_star)
+    mutant = TwistCertificate(
+        p=cert.p, S=cert.S, S0=cert.S0, S1=cert.S1, N1_star=cert.N1_star,
+        epsilon=cert.epsilon, q=q, mod8_case=cert.mod8_case, d=q * cert.N1_star,
+    )
     with pytest.raises(PostconditionFailed, match=rule):
         mutant.validate()
