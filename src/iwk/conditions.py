@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
 from .errors import BadReductionPrime, PostconditionFailed
-from .padic import _iroot, isprime, kronecker_symbol, multiplicative_order, ord_p, poly_mul, primerange, sympy
+from .padic import _iroot, isprime, kronecker_symbol, multiplicative_order, poly_mul, primerange, sympy
 from .ecq import (
     EllipticCurveQ,
     ReductionKind,
@@ -57,7 +57,7 @@ def _require_good_odd_p(E: EllipticCurveQ, p: int) -> EllipticCurveQ:
     if p == 2 or not isprime(p):
         raise ValueError("p must be an odd prime")
     E_min = E.minimal[0]
-    if ord_p(E_min.discriminant, p) != 0:
+    if E_min.discriminant % p == 0:
         raise BadReductionPrime(f"E has bad reduction at p = {p}")
     return E_min
 
@@ -288,29 +288,36 @@ def _scan_traces(E_min: EllipticCurveQ, p: int, found: Dict, lo: int, hi: int) -
     At p = 3 no trace witnesses the nonsplit Cartan class: a != 0 mod 3
     makes a^2 - 4 ell = 1 - ell, which is 0 or 2 mod 3 and never a nonzero
     square.  So the scan at p = 3 ends once Borel and split have witnesses;
-    the class stays open, as it would at the bound.
+    the class stays open, as it would at the bound, and is not counted.
     """
     disc = E_min.discriminant
-    wanted = [c for c in found if p != 3 or c != "nonsplit_cartan_normalizer"]
+    unwitnessed = list(found.values()).count(None)
+    if p == 3:
+        unwitnessed -= found["nonsplit_cartan_normalizer"] is None
+    squares = {x * x % p for x in range(1, p)}
     for ell in primerange(lo, hi):
-        if all(found[c] for c in wanted):
+        if not unwitnessed:
             return
         if ell == p or disc % ell == 0:
             continue
         a = count_points_ap(E_min, ell).a_ell % p
         D = (a * a - 4 * ell) % p
-        chi = kronecker_symbol(D, p)
-        if chi == -1 and found["borel"] is None:
-            found["borel"] = (ell, f"a={a}, disc nonsquare mod {p}")
-        if a != 0:
-            if chi == -1 and found["split_cartan_normalizer"] is None:
-                found["split_cartan_normalizer"] = (ell, f"a={a}, disc nonsquare mod {p}")
-            if chi == 1 and found["nonsplit_cartan_normalizer"] is None:
+        if D in squares:
+            if a and found["nonsplit_cartan_normalizer"] is None:
                 found["nonsplit_cartan_normalizer"] = (ell, f"a={a}, disc nonzero square mod {p}")
-            if found["exceptional"] is None:
-                u = a * a * pow(ell, -1, p) % p
-                if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
-                    found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
+                unwitnessed -= 1
+        elif D:
+            if found["borel"] is None:
+                found["borel"] = (ell, f"a={a}, disc nonsquare mod {p}")
+                unwitnessed -= 1
+            if a and found["split_cartan_normalizer"] is None:
+                found["split_cartan_normalizer"] = (ell, f"a={a}, disc nonsquare mod {p}")
+                unwitnessed -= 1
+        if a and found["exceptional"] is None:
+            u = a * a * pow(ell, -1, p) % p
+            if u not in (0, 1, 2, 4) and (u * u - 3 * u + 1) % p != 0:
+                found["exceptional"] = (ell, f"trace ratio {u} outside exceptional set mod {p}")
+                unwitnessed -= 1
 
 
 def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOUND) -> Verdict:
@@ -377,9 +384,14 @@ CM_J_TABLE: Tuple[Tuple[int, int, bool], ...] = (
 
 
 def cm_order(E: EllipticCurveQ) -> Optional[Tuple[int, bool]]:
-    """(discriminant, maximal?) of E's CM order, read off j; None without CM."""
-    for j, disc, maximal in CM_J_TABLE:
-        if E.j_invariant == j:
+    """(discriminant, maximal?) of E's CM order, read off j; None without CM.
+    A CM j-invariant is an integer, so a j with a denominator is not read
+    against the table."""
+    j = E.j_invariant
+    if j.denominator != 1:
+        return None
+    for j_cm, disc, maximal in CM_J_TABLE:
+        if j.numerator == j_cm:
             return disc, maximal
     return None
 

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
 from .errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
-from .padic import Valuation, factorint, kronecker_symbol, multiplicative_order, ord_p
+from .padic import Valuation, _check_prime, factorint, kronecker_symbol, multiplicative_order, ord_p
 
 # The largest prime count_points_ap takes: a budget, not a word-size limit.
 # Shanks-Mestre needs O(ell^(1/4)) point operations, but the Legendre sum it
@@ -158,14 +158,16 @@ def _kraus_ok_3(c6: int) -> bool:
 
 def _minimality_exponent(c4: int, c6: int, disc: int, ell: int) -> int:
     """Largest k such that (c4/ell^4k, c6/ell^6k, disc/ell^12k) is still an
-    integral Kraus-valid triple at ell."""
+    integral Kraus-valid triple at ell.  Only disc is valued: k starts at
+    ord_ell(disc) // 12 and goes down until ell^4k divides c4, ell^6k
+    divides c6 and the quotients are Kraus-valid."""
     k = int(ord_p(disc, ell)) // 12
-    if c4:
-        k = min(k, int(ord_p(c4, ell)) // 4)
-    if c6:
-        k = min(k, int(ord_p(c6, ell)) // 6)
     while k > 0:
-        c4k, c6k = c4 // ell ** (4 * k), c6 // ell ** (6 * k)
+        c4k, r4 = divmod(c4, ell ** (4 * k))
+        c6k, r6 = divmod(c6, ell ** (6 * k))
+        if r4 or r6:
+            k -= 1
+            continue
         if ell == 2 and not _kraus_ok_2(c4k, c6k):
             k -= 1
             continue
@@ -274,15 +276,16 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
     info = E._reductions.get(ell)
     if info is not None:
         return info
+    # _minimality_exponent has checked that ell is prime
     if _minimality_exponent(E.c4, E.c6, E.discriminant, ell):
         raise NotMinimalAtPrime(f"model is not minimal at {ell}")
-    if ord_p(E.discriminant, ell) == 0:
+    if E.discriminant % ell:
         info = ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
     elif E.j_valuation(ell) >= 0:
         info = ReductionInfo(ell, ReductionKind.ADDITIVE, Potentially.POT_GOOD)
     else:
         gamma = _square_class(-E.c6, ell)
-        if ord_p(E.c4, ell) > 0:
+        if E.c4 % ell == 0:
             kind = ReductionKind.ADDITIVE
         elif gamma == TwistClass.UNIT_SQUARE:
             kind = ReductionKind.MULT_SPLIT
@@ -342,18 +345,28 @@ _SHANKS_MESTRE_FROM = 128
 _SHANKS_MESTRE_POINTS = 32
 
 
+# The table of (x | ell) for each ell below _SHANKS_MESTRE_FROM that
+# `_legendre_trace` has summed at: at most 30 lists of under 128 entries.
+_CHI: Dict[int, List[int]] = {}
+
+
 def _legendre_trace(E: EllipticCurveQ, ell: int) -> int:
     """a_ell = -sum_u (u^3 + b2 u^2 + c u + e | ell), c = 8 b4, e = 16 b6, by a
-    table of squares.
+    table of squares, kept in _CHI below _SHANKS_MESTRE_FROM; the rare call
+    above it, where Shanks-Mestre left a_ell open, builds its own.
 
     For odd ell, v = 2y + a1 x + a3 gives v^2 = 4x^3 + b2 x^2 + 2 b4 x + b6,
     and u = 4x scales the right side by 16, a square.  The terms at +u and -u
     are (b2 u^2 + e) +- u (u^2 + c), so half the residues suffice.
     """
-    chi = [-1] * ell
-    for x in range(1, (ell + 1) // 2):
-        chi[x * x % ell] = 1
-    chi[0] = 0
+    chi = _CHI.get(ell)
+    if chi is None:
+        chi = [-1] * ell
+        for x in range(1, (ell + 1) // 2):
+            chi[x * x % ell] = 1
+        chi[0] = 0
+        if ell < _SHANKS_MESTRE_FROM:
+            _CHI[ell] = chi
     b2, c, e = E.b2 % ell, 8 * E.b4 % ell, 16 * E.b6 % ell
     return -chi[e] - sum([
         chi[((v := b2 * u * u + e) + (w := u * (u * u + c))) % ell] + chi[(v - w) % ell]
@@ -471,18 +484,22 @@ def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
     Below `_SHANKS_MESTRE_FROM` by the Legendre sum over a table of squares;
     from it by Shanks-Mestre baby-step giant-step, in O(ell^(1/4)) point
     operations, with the Legendre sum deciding the rare case it leaves open.
-    Each a_ell is counted once per curve object and kept on it.
+    Each a_ell is counted once per curve object and kept on it.  A kept
+    record is returned before any check: only an ell that passed them all
+    is ever kept, so a bad ell raises on every call.
     """
+    record = E._traces.get(ell)
+    if record is not None:
+        return record
     if ell > AP_PRIME_BOUND:
         raise BudgetExceeded(f"{ell} exceeds the bound {AP_PRIME_BOUND}")
     if ell % 2 == 0:
         raise ValueError("point counts need an odd prime")
-    if ord_p(E.discriminant, ell) != 0:
+    _check_prime(ell)
+    if E.discriminant % ell == 0:
         raise BadReductionPrime(f"{ell} divides the discriminant")
-    record = E._traces.get(ell)
-    if record is None:
-        a = _shanks_mestre(E, ell) if ell >= _SHANKS_MESTRE_FROM else None
-        record = E._traces[ell] = TraceRecord(ell, _legendre_trace(E, ell) if a is None else a)
+    a = _shanks_mestre(E, ell) if ell >= _SHANKS_MESTRE_FROM else None
+    record = E._traces[ell] = TraceRecord(ell, _legendre_trace(E, ell) if a is None else a)
     return record
 
 

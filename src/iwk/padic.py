@@ -223,19 +223,24 @@ def _perfect_power(m: int) -> Optional[Tuple[int, int]]:
 
 
 def factorint(n: int) -> Dict[int, int]:
-    """Prime factorization {prime: exponent} of n >= 1, in three stages.
+    """Prime factorization {prime: exponent} of n >= 1.
 
-    Trial division by the primes up to _TRIAL_LIMIT; then every factor that
-    `isprime` does not certify is split, as a perfect power or by
-    Pollard-Brent rho, and one that rho cannot split within _RHO_BUDGET
-    iterations goes to sympy's factorint whole.  That fallback is the one
-    call that imports sympy.  A factor enters the result only once `isprime`
-    certifies it, and joins _CERTIFIED.  PostconditionFailed is raised if a
-    prime sympy returns fails `isprime`, or if the prime powers do not
-    multiply back to n.
+    A prime n below the sieve's limit is read off the sieve.  Any other n
+    goes through three stages: trial division by the primes up to
+    _TRIAL_LIMIT; then every factor that `isprime` does not certify is
+    split, as a perfect power or by Pollard-Brent rho, and one that rho
+    cannot split within _RHO_BUDGET iterations goes to sympy's factorint
+    whole.  That fallback is the one call that imports sympy.  A factor
+    enters the result only once the sieve or `isprime` certifies it, and
+    joins _CERTIFIED.  PostconditionFailed is raised if a prime sympy
+    returns fails `isprime`, or if the prime powers do not multiply back
+    to n.
     """
     if n < 1:
         raise ValueError("factorint requires n >= 1")
+    if n < _SIEVE.limit and _SIEVE.flags[n]:
+        _CERTIFIED.add(n)
+        return {n: 1}
     out: Dict[int, int] = {}
     pending = []
     m = n

@@ -330,6 +330,30 @@ def test_golden_run_counts_below_shanks_mestre(monkeypatch):
     assert calls and max(calls) < 128, max(calls)
 
 
+def test_golden_run_valuations_and_symbols(monkeypatch):
+    # over the golden run the curve layers take a valuation or a Kronecker
+    # symbol only where no divisibility test or residue set will do: a
+    # scanned prime costs neither, a kept a_ell is read before any check, a
+    # good-prime test is one %, and a minimal model values only Delta.
+    # 2,871 valuations and 1,309 symbols before
+    calls = Counter()
+
+    def counted(name, fn):
+        def run(*args):
+            calls[name] += 1
+            return fn(*args)
+        return run
+
+    for module in (ecq, conditions, twist):
+        for name in ("ord_p", "kronecker_symbol"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    digest = hashlib.sha256()
+    assert _golden_run(digest) == 93
+    assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
+    assert (calls["ord_p"], calls["kronecker_symbol"]) == (599, 186), calls
+
+
 def test_one_curve_object_per_p_gives_the_same_reports():
     # the a_ell kept on a curve object serve every p it is analyzed at; a
     # fresh object per p counts them again and gives the same bytes

@@ -298,8 +298,10 @@ def test_count_points_errors(e5077):
 
 
 def test_count_points_errors_on_repeat(e5077):
-    # the checks come before the curve's table is read: a bad ell raises on
-    # every call, also once good primes have been counted
+    # a kept record is returned before any check, but a bad ell never enters
+    # the curve's table, so it raises on every call, also once good primes
+    # have been counted: a bad prime, one past the budget, 2, and the odd
+    # composites 9, 15 and 25
     E = EllipticCurveQ(*e5077.ainvs)
     assert count_points_ap(E, 5) is count_points_ap(E, 5)
     for _ in range(2):
@@ -309,6 +311,9 @@ def test_count_points_errors_on_repeat(e5077):
             count_points_ap(E, nextprime(AP_PRIME_BOUND))
         with pytest.raises(ValueError):
             count_points_ap(E, 2)
+        for ell in (9, 15, 25):
+            with pytest.raises(ValueError, match="not prime"):
+                count_points_ap(E, ell)
     assert list(E._traces) == [5]
 
 
@@ -373,6 +378,24 @@ def _legendre_sum_trace(E, ell):
     chi[0] = 0
     b2, b4, b6 = E.b2 % ell, 2 * E.b4 % ell, E.b6 % ell
     return -sum([chi[(((4 * x + b2) * x + b4) * x + b6) % ell] for x in range(ell)])
+
+
+def test_legendre_tables_kept_only_below_shanks_mestre(monkeypatch):
+    # with Shanks-Mestre leaving every a_ell open, the Legendre sum runs at
+    # each good ell < 300; the table of squares is kept for each ell below
+    # the crossover and for none above it, and each kept table is Euler's
+    # criterion built afresh
+    monkeypatch.setattr(ecq, "_CHI", {})
+    monkeypatch.setattr(ecq, "_shanks_mestre", lambda E, ell: None)
+    E = EllipticCurveQ(0, 0, 1, -7, 6)
+    good = [ell for ell in primerange(3, 300) if E.discriminant % ell]
+    for ell in good:
+        assert count_points_ap(E, ell).a_ell == _legendre_sum_trace(E, ell), ell
+    low = ecq._SHANKS_MESTRE_FROM
+    assert max(good) >= low and max(ecq._CHI) < low
+    assert sorted(ecq._CHI) == [ell for ell in good if ell < low]
+    for ell, chi in ecq._CHI.items():
+        assert chi == [0] + [1 if pow(x, (ell - 1) // 2, ell) == 1 else -1 for x in range(1, ell)]
 
 
 def test_count_points_large_invariants():

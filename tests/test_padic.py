@@ -350,6 +350,44 @@ def test_factorint_matches_sympy_without_calling_it(monkeypatch):
         padic.factorint(0)
 
 
+def _trial_division(n):
+    out, q = {}, 2
+    while q * q <= n:
+        while n % q == 0:
+            out[q] = out.get(q, 0) + 1
+            n //= q
+        q += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def test_factorint_reads_the_sieve_below_its_limit(monkeypatch):
+    # below a grown sieve's limit a prime is read off the sieve, with no
+    # isprime call, and certified; 1, prime powers and composites there are
+    # factored as before, and every answer is trial division's
+    monkeypatch.setattr(padic, "_SIEVE", padic._Sieve())
+    monkeypatch.setattr(padic, "_CERTIFIED", set())
+    list(padic.primerange(2, 1 << 14))
+    limit = padic._SIEVE.limit
+    primes = padic._SIEVE.primes
+    isprime = padic.isprime
+
+    def no_isprime(n):
+        raise AssertionError(f"isprime({n}) on a prime below the sieve's limit {limit}")
+
+    monkeypatch.setattr(padic, "isprime", no_isprime)
+    assert [padic.factorint(q) for q in primes] == [{q: 1} for q in primes]
+    assert padic._CERTIFIED == set(primes)
+    monkeypatch.setattr(padic, "isprime", isprime)
+    rng = random.Random(34)
+    others = [1, 4, 8, 9, 1024, 3**8, 5**5, 7**4, 31**2, 127**2]
+    others += [2 * 3 * 5 * 7 * 11, 3 * 5 * 7 * 11 * 13]
+    others += [q for q in (rng.randrange(2, limit) for _ in range(300)) if not isprime(q)]
+    assert max(others) < limit
+    assert [padic.factorint(n) for n in others] == [_trial_division(n) for n in others]
+
+
 def test_factorint_falls_back_to_sympy_past_the_rho_budget(monkeypatch):
     recorder = _RecordingSympy()
     monkeypatch.setattr(padic, "sympy", recorder)
