@@ -118,14 +118,13 @@ def read_presentation(path: str) -> Presentation:
 
 
 def parse_n_range(text: str) -> List[int]:
-    """'2..5' or comma-separated levels: at least one, none repeated."""
+    """'2..5' or comma-separated levels: at least one, none empty or repeated."""
     from .iwasawa import window_levels
 
-    lo, dots, hi = text.strip().partition("..")
-    if dots:
-        levels = list(range(int(lo), int(hi) + 1))
-    else:
-        levels = [int(x) for x in lo.split(",") if x.strip()]
+    m = re.fullmatch(r"(-?\d+)\s*\.\.\s*(-?\d+)|-?\d+(?:\s*,\s*-?\d+)*", text.strip())
+    if not m:
+        raise ValueError(f"n-range {text!r} must look like 'lo..hi' or 'n1,n2,...'")
+    levels = list(range(int(m[1]), int(m[2]) + 1)) if m[1] else [int(x) for x in text.split(",")]
     window_levels(levels)
     return levels
 

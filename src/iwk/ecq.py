@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
 from .errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
-from .padic import Valuation, _check_prime, factorint, kronecker_symbol, multiplicative_order, ord_p
+from .padic import _check_prime, factorint, kronecker_symbol, multiplicative_order, ord_p
 
 # The largest prime count_points_ap takes: a budget, not a word-size limit.
 # Shanks-Mestre needs O(ell^(1/4)) point operations, but the Legendre sum it
@@ -86,13 +86,6 @@ class EllipticCurveQ(Record):
     def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, int, int, int]]:
         """`minimal_model(self)`, built once per curve object."""
         return minimal_model(self)
-
-    def j_valuation(self, ell: int) -> Valuation:
-        """ord_ell of the j-invariant (negative iff ell divides the denominator)."""
-        j = self.j_invariant
-        if j == 0:
-            return ord_p(0, ell)
-        return ord_p(j.numerator, ell) - ord_p(j.denominator, ell)
 
 
 class ReductionKind(enum.Enum):
@@ -281,7 +274,7 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
         raise NotMinimalAtPrime(f"model is not minimal at {ell}")
     if E.discriminant % ell:
         info = ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
-    elif E.j_valuation(ell) >= 0:
+    elif E.j_invariant.denominator % ell:  # ord_ell(j) >= 0
         info = ReductionInfo(ell, ReductionKind.ADDITIVE, Potentially.POT_GOOD)
     else:
         gamma = _square_class(-E.c6, ell)

@@ -366,25 +366,24 @@ def _jacobi(a: int, n: int) -> int:
     return sign if n == 1 else 0
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_group_primes(p: int) -> Tuple[int, ...]:
+    """The primes of p - 1, factored once per prime p; ValueError unless p is prime."""
+    _check_prime(p)
+    return tuple(factorint(p - 1))
+
+
 def multiplicative_order(a: int, p: int) -> int:
     """Least f >= 1 with a^f = 1 mod p."""
-    _check_prime(p)
+    primes = _unit_group_primes(p)
     a %= p
     if a == 0:
         raise ValueError("a must be a unit mod p")
     # Start from f = p-1 and strip prime factors while the power stays 1.
     f = p - 1
-    m = f
-    q = 2
-    while q * q <= m:
-        while m % q == 0:
-            m //= q
-            while f % q == 0 and pow(a, f // q, p) == 1:
-                f //= q
-        q += 1
-    if m > 1:
-        while f % m == 0 and pow(a, f // m, p) == 1:
-            f //= m
+    for q in primes:
+        while f % q == 0 and pow(a, f // q, p) == 1:
+            f //= q
     if pow(a, f, p) != 1:
         raise PostconditionFailed(f"{a}^{f} != 1 mod {p}")
     return f

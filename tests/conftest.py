@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from iwk import conditions
+from iwk import conditions, ecq
 from iwk.conditions import Status, Verdict
 from iwk.ecq import EllipticCurveQ, check_prime_bound, count_points_ap
 from iwk.errors import BadReductionPrime
@@ -44,6 +44,8 @@ CORPUS = [
     ("5077a1", (0, 0, 1, -7, 6)),
     ("36a2", (0, 0, 0, -15, 22)),
 ]
+# the standard curves with CM, whose j-invariants are in CM_J_TABLE
+CM_LABELS = ("27a1", "32a1", "36a1", "36a2", "49a1", "121b1")
 
 
 @pytest.fixture(scope="session")
@@ -155,14 +157,20 @@ def scan_traces_to_bound(E_min, p, found, lo, hi):
 
 def check_c1_str_full_scan(E, p, prime_bound=conditions.DEFAULT_PRIME_BOUND):
     """check_c1_str with `scan_traces_to_bound` in place of its scan: the
-    reference that the p = 3 stop rule must match byte for byte."""
+    reference that the p = 3 stop rule must match byte for byte.  CM is
+    read first, before any trace, as check_c1_str reads it."""
     check_prime_bound(prime_bound)
     E_min = conditions._require_good_odd_p(E, p)
     params = {"prime_bound": prime_bound}
+    cm = conditions.cm_order(E_min)
+    if cm is not None:
+        cls = "split" if kronecker_symbol(cm[0], p) == 1 else "nonsplit"
+        witness = (p, f"CM by discriminant {cm[0]}: image in the normalizer of the {cls} Cartan")
+        return Verdict(Status.FAILS, (witness,), params)
     found = {c: None for c in conditions._WITNESS_CLASSES}
     if p == 3:
         found["exceptional"] = (0, "vacuous for p = 3")
-    first_hi = min(prime_bound + 1, conditions._SCAN_BEFORE_FACTOR)
+    first_hi = min(prime_bound + 1, ecq._SHANKS_MESTRE_FROM)
     scan_traces_to_bound(E_min, p, found, 3, first_hi)
     if not all(found.values()):
         witness = conditions._negative_certificate(E_min, p)

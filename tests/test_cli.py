@@ -6,13 +6,15 @@ import pathlib
 import random
 import re
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 from sympy import primerange
 
-from conftest import CORPUS, assert_x0_witness, psi_degrees, transformed
+from conftest import CM_LABELS, CORPUS, assert_x0_witness, psi_degrees, transformed
 from iwk import cli, conditions, ecq, twist
 from iwk.cli import (
     CurveRecord,
@@ -26,6 +28,7 @@ from iwk.cli import (
     parse_poly_literal,
 )
 from iwk.ecq import EllipticCurveQ
+from iwk.padic import multiplicative_order
 from iwk.twist import construct_c2_twist
 from iwk.zpmod import FgZpModule
 
@@ -80,9 +83,16 @@ def test_parse_n_range():
     assert parse_n_range("2..5") == [2, 3, 4, 5]
     assert parse_n_range("1,4,2") == [1, 4, 2]
     assert parse_n_range(" 3 ") == [3]
-    for empty_or_repeated in ("5..2", ",", "", "1,2,3,3", "2,1,2"):
+    assert parse_n_range(" 2 .. 4 ") == [2, 3, 4]
+    assert parse_n_range("1, 3") == [1, 3]
+    for empty_or_repeated in ("5..2", "1,2,3,3", "2,1,2"):
         with pytest.raises(ValueError, match="n-range"):
             parse_n_range(empty_or_repeated)
+    # an empty item or end is refused with the expected shape, not dropped
+    # or left to int()
+    for malformed in (",", "", "1,,3", "1,3,", ",1", "2..", "..4", "..", "1..2..3", "1 2"):
+        with pytest.raises(ValueError, match=re.escape(f"n-range {malformed!r} must look like 'lo..hi' or 'n1,n2,...'")):
+            parse_n_range(malformed)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +126,24 @@ def test_discrepancy_flag_only_for_5077a1(capsys):
 
 def test_exit_two_on_fails(capsys):
     assert main(["analyze", "--curve", "0,-1,1,-10,-20", "--p", "7"]) == 2
+
+
+def test_large_p_in_time_polynomial_in_log_p(capsys):
+    # at a safe prime p = 2q + 1 near 10^16 the order of 11 mod p comes from
+    # factorint(p - 1), and the C1 scan takes (D/p) by Euler's criterion: no
+    # step is linear in p or in sqrt(q), so the whole test takes well under
+    # a second of CPU (a twist took 7.7 s by trial division up to sqrt(q))
+    p = 10000000000004447
+    start = time.process_time()
+    f = multiplicative_order(11, p)
+    assert (p - 1) % f == 0 and pow(11, f, p) == 1
+    assert all(pow(11, f // q, p) != 1 for q in sympy.factorint(f)), f
+    curve = ["--curve", "0,-1,1,-10,-20", "--p", str(p)]  # 11a1
+    assert main(["twist", *curve]) == 0
+    assert json.loads(capsys.readouterr().out)["certificate"]["p"] == p
+    assert main(["analyze", *curve, "--ap-bound", "200"]) == 2
+    capsys.readouterr()
+    assert time.process_time() - start < 1.0
 
 
 def test_exit_two_on_cm_certificate(capsys):
@@ -310,11 +338,14 @@ def test_golden_run_counts_below_shanks_mestre(monkeypatch):
     # p = 3 Borel and split have witnesses there for each pair whose scan
     # leaves the nonsplit class open, so no point is counted by
     # Shanks-Mestre.  17,200 calls, 15,567 by Shanks-Mestre, on a corpus
-    # pass before the scan stopped there and each a_ell was kept on its curve
+    # pass before the scan stopped there and each a_ell was kept on its
+    # curve.  CM decides C1 before any trace, so no CM curve counts a point
     calls = []
     count = ecq.count_points_ap
 
     def recording_count(E, ell):
+        if conditions.cm_order(E) is not None:
+            raise AssertionError(f"a_{ell} counted on the CM curve {E.ainvs}")
         calls.append(ell)
         return count(E, ell)
 
@@ -334,8 +365,10 @@ def test_golden_run_valuations_and_symbols(monkeypatch):
     # over the golden run the curve layers take a valuation or a Kronecker
     # symbol only where no divisibility test or residue set will do: a
     # scanned prime costs neither, a kept a_ell is read before any check, a
-    # good-prime test is one %, and a minimal model values only Delta.
-    # 2,871 valuations and 1,309 symbols before
+    # good-prime test is one %, a minimal model values only Delta, no CM
+    # curve counts a point, and a multiplicative order strips the primes of
+    # `factorint(p - 1)`.  2,871 valuations and 1,309 symbols before, then
+    # 599 and 186 while CM was read after the scan
     calls = Counter()
 
     def counted(name, fn):
@@ -351,12 +384,13 @@ def test_golden_run_valuations_and_symbols(monkeypatch):
     digest = hashlib.sha256()
     assert _golden_run(digest) == 93
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
-    assert (calls["ord_p"], calls["kronecker_symbol"]) == (599, 186), calls
+    assert (calls["ord_p"], calls["kronecker_symbol"]) == (416, 186), calls
 
 
 def test_one_curve_object_per_p_gives_the_same_reports():
     # the a_ell kept on a curve object serve every p it is analyzed at; a
-    # fresh object per p counts them again and gives the same bytes
+    # fresh object per p counts them again and gives the same bytes.  CM
+    # decides C1 before any trace, so only a non-CM curve keeps a_ell
     for label, a in CORPUS:
         E = EllipticCurveQ(*a)
         for p in (3, 5, 7, 11, 13):
@@ -365,7 +399,7 @@ def test_one_curve_object_per_p_gives_the_same_reports():
             shared = analyze_curve(E, p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
             fresh = analyze_curve(EllipticCurveQ(*a), p, ap_bound=10**4, mu=0, lam=1, rank=1, label=label)
             assert json.dumps(shared.data, sort_keys=True) == json.dumps(fresh.data, sort_keys=True)
-        assert E.minimal[0]._traces, label
+        assert bool(E.minimal[0]._traces) == (label not in CM_LABELS), label
 
 
 def test_psi_p_factored_only_where_no_certificate_decides(monkeypatch):
@@ -631,7 +665,7 @@ def test_coinv_command(capsys):
     # Lambda/(3) is exact at layer n - 1: orders 1, 3, 9, deviations 0
     assert [(row["order"], row["deviation"]) for row in data["table"]] == [(1, 0), (3, 0), (9, 0)]
     assert data["bounded_tail"] is True and data["max_deviation"] == 0
-    for window in ("5..2", ",", "1,2,3,3"):
+    for window in ("5..2", ",", "1,2,3,3", "1,,3", "2..", "..4"):
         assert main([*args, window]) == 1
         assert capsys.readouterr().out == ""
     # one level has no tail of length 2

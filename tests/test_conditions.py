@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
@@ -18,7 +19,7 @@ from conftest import (
     transformed,
     x0_witness_point,
 )
-from iwk import conditions
+from iwk import conditions, ecq
 from iwk.errors import BadReductionPrime, PostconditionFailed
 from iwk.conditions import (
     CM_J_TABLE,
@@ -220,6 +221,45 @@ def test_c1_str_cm_cartan_oracle():
     assert pairs == 224
 
 
+def test_c1_str_reads_cm_before_any_trace(monkeypatch):
+    # CM decides C1 by a table lookup: with every point count refused, each
+    # CM pair at a good p <= 19 still FAILS with its Cartan witness and the
+    # bound it was given as its budget
+    def no_count(E, ell):
+        raise AssertionError(f"a_{ell} counted on a CM curve")
+
+    for module in (ecq, conditions):
+        monkeypatch.setattr(module, "count_points_ap", no_count)
+    pairs = 0
+    for disc, E in _cm_curves():
+        for p in (3, 5, 7, 11, 13, 17, 19):
+            if E.minimal[0].discriminant % p == 0:
+                continue
+            cls = "split" if kronecker_symbol(disc, p) == 1 else "nonsplit"
+            for bound in (0, 127, conditions.DEFAULT_PRIME_BOUND):
+                assert check_c1_str(E, p, bound).to_json_dict() == {
+                    "status": "FAILS",
+                    "witnesses": [{"prime": p, "detail": f"CM by discriminant {disc}: "
+                                   f"image in the normalizer of the {cls} Cartan"}],
+                    "budget": {"prime_bound": bound},
+                }, (E.ainvs, p, bound)
+            pairs += 1
+    assert pairs == 224
+
+
+def test_c1_scan_memory_does_not_grow_with_p():
+    # (D/p) is Euler's criterion on D, with no table of residues mod p: a
+    # verdict at p = 1,000,003 peaked at 34 MiB with the set of squares
+    E = EllipticCurveQ(0, 0, 1, -7, 6)  # 5077a1
+    tracemalloc.start()
+    try:
+        assert check_c1_str(E, 1000003, 200).status == Status.HOLDS
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
 def test_c1_str_cm_disc_at_good_p_raises(monkeypatch, corpus):
     # CM curves over Q are bad at the primes ramified in their field, so a
     # table row whose discriminant a good p divides is a fault, not a verdict
@@ -397,7 +437,7 @@ def test_c1_str_stop_rule_matches_full_scan(monkeypatch):
     # check_c1_str against the scan that runs to the bound, byte for byte:
     # the standard curves at every good p <= 13 and the default bound, and
     # seeded curves at p = 3, 5, 7 and bounds on both sides of
-    # _SCAN_BEFORE_FACTOR.  One curve object serves every p; the reference
+    # ecq._SHANKS_MESTRE_FROM.  One curve object serves every p; the reference
     # counts on an object of its own.  Both sides share one factorization
     # of each psi_p.
     monkeypatch.setattr(

@@ -13,7 +13,8 @@ from sympy import factorint, nextprime, prevprime, primerange
 import iwk
 from iwk import ecq
 from iwk.cli import analyze_curve
-from conftest import CORPUS, count_points_naive, trace_naive, transformed
+from iwk.conditions import cm_order
+from conftest import CM_LABELS, CORPUS, count_points_naive, trace_naive, transformed
 from iwk.errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
 from iwk.ecq import (
     AP_PRIME_BOUND,
@@ -53,14 +54,17 @@ def test_curve_invariants(corpus):
     assert repr(altered) == repr(E) == "EllipticCurveQ(a1=0, a2=0, a3=1, a4=-7, a6=6)"
     assert E != EllipticCurveQ(0, -1, 1, -10, -20)
     # a curve analyzed at every good p <= 13 keeps full tables, yet equals,
-    # hashes and prints as a fresh object of the same model
+    # hashes and prints as a fresh object of the same model; CM decides C1
+    # before any trace, so a CM curve keeps no a_ell
     for label, ainvs in CORPUS:  # new objects: the session's corpus keeps empty tables
         E_min = EllipticCurveQ(*ainvs).minimal[0]
         for p in (3, 5, 7, 11, 13):
             if E_min.discriminant % p:
                 analyze_curve(E_min, p)
         fresh = EllipticCurveQ(*E_min.ainvs)
-        assert E_min._traces and E_min._reductions.keys() == set(E_min.bad_primes), label
+        assert (cm_order(E_min) is not None) == (label in CM_LABELS), label
+        assert bool(E_min._traces) == (label not in CM_LABELS), label
+        assert E_min._reductions.keys() == set(E_min.bad_primes), label
         assert (fresh._traces, fresh._reductions) == ({}, {}), label
         assert fresh == E_min and hash(fresh) == hash(E_min), label
         assert repr(fresh) == repr(E_min) == (
@@ -208,11 +212,17 @@ def test_split_detection_routes_agree(corpus):
     assert seen == {(ell, split) for ell in (2, 3, 5) for split in (True, False)}
 
 
+def _j_valuation(E, ell):
+    """ord_ell(j), from j's numerator and denominator (INFINITY at j = 0)."""
+    j = E.j_invariant
+    return ord_p(j.numerator, ell) - ord_p(j.denominator, ell)
+
+
 def test_potentially_multiplicative_iff_negative_j_valuation(corpus):
     for label, E in corpus:
         for ell, info in reduction_summary(E).items():
             assert (info.potentially == Potentially.POT_MULT) == (
-                E.j_valuation(ell) < 0
+                _j_valuation(E, ell) < 0
             ), (label, ell)
 
 
@@ -682,13 +692,13 @@ def test_gamma_and_pot_mult_primes_on_random_curves():
             E = EllipticCurveQ(*a)
         except ValueError:
             continue
-        if E.j_valuation(2) >= 0:
+        if _j_valuation(E, 2) >= 0:
             continue
         bases += 1
         E_min = E.minimal[0]
         expected = [
             ell for ell in sorted(factorint(abs(E_min.discriminant)))
-            if E_min.j_valuation(ell) < 0
+            if _j_valuation(E_min, ell) < 0
         ]
         assert list(E.j_denominator_primes) == expected, a
         u = rng.choice((1, 2, 3, 6))
