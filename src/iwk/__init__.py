@@ -78,9 +78,9 @@ _EXPORTS = {
         "minimal_model",
         "quadratic_twist",
         "reduction_type",
-        "torsion_in_cyclotomic_local",
     ),
-    "conditions": ("Status", "Verdict", "check_c1_str", "check_c2", "check_c2_sufficient", "check_c3"),
+    "conditions": ("Status", "Verdict", "c2_offenders", "check_c1_str", "check_c2",
+                   "check_c2_sufficient", "check_c3"),
     "twist": ("TwistCertificate", "construct_c2_twist"),
 }
 _LAYER_OF = {name: layer for layer, names in _EXPORTS.items() for name in names}

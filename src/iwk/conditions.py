@@ -20,10 +20,10 @@ from .ecq import (
     _SHANKS_MESTRE_FROM,
     EllipticCurveQ,
     ReductionKind,
+    TwistClass,
     check_prime_bound,
     count_points_ap,
     reduction_type,
-    torsion_in_cyclotomic_local,
 )
 
 
@@ -67,26 +67,44 @@ def _require_good_odd_p(E: EllipticCurveQ, p: int) -> EllipticCurveQ:
 # Local torsion condition.
 
 
+def c2_offenders(E: EllipticCurveQ, p: int) -> Dict[int, int]:
+    """The potentially multiplicative primes ell at which E keeps p-torsion
+    over Q_ell adjoined all p-power roots of unity, each mapped to its local
+    cyclotomic degree f = ord(ell mod p); C2 holds iff there is none.  The
+    one home of this rule: `check_c2` renders its witnesses from the table
+    and `construct_c2_twist` reads S0 (f odd) and S1 (f even) from it.
+
+    The Tate curve's uniformization reduces this to the twist character:
+    torsion survives iff the character is trivial over the tower, i.e. gamma
+    is a square, or generates the unramified quadratic extension while f is
+    even (Silverman, Advanced Topics in the Arithmetic of Elliptic Curves,
+    Thm V.5.3).  ValueError unless p is an odd prime, BadReductionPrime at
+    a bad p.
+    """
+    E_min = _require_good_odd_p(E, p)
+    offenders: Dict[int, int] = {}
+    for ell in E_min.j_denominator_primes:
+        gamma = reduction_type(E_min, ell).twist_class_gamma
+        if gamma in (TwistClass.UNIT_SQUARE, TwistClass.UNIT_NONSQUARE):
+            f = multiplicative_order(ell, p)
+            if gamma == TwistClass.UNIT_SQUARE or f % 2 == 0:
+                offenders[ell] = f
+    return offenders
+
+
 def check_c2(E: EllipticCurveQ, p: int) -> Verdict:
     """Holds iff no potentially multiplicative prime keeps p-torsion over the
-    local cyclotomic tower."""
-    E_min = _require_good_odd_p(E, p)
-    offenders: List[Tuple[int, str]] = []
+    local cyclotomic tower (`c2_offenders`)."""
+    offenders = c2_offenders(E, p)
+    E_min = E.minimal[0]
     primes = list(E_min.j_denominator_primes)
-    for ell in primes:
-        if torsion_in_cyclotomic_local(E_min, ell, p):
-            info = reduction_type(E_min, ell)
-            offenders.append(
-                (
-                    ell,
-                    f"nontrivial p-torsion locally: kind={info.kind.value}, "
-                    f"gamma={info.twist_class_gamma.value}, "
-                    f"local cyclotomic degree={multiplicative_order(ell, p)}",
-                )
-            )
-    if offenders:
-        return Verdict(Status.FAILS, tuple(offenders), {"primes_checked": primes})
-    return Verdict(Status.HOLDS, (), {"primes_checked": primes})
+    witnesses = []
+    for ell, f in offenders.items():
+        info = reduction_type(E_min, ell)
+        witnesses.append((ell, f"nontrivial p-torsion locally: kind={info.kind.value}, "
+                               f"gamma={info.twist_class_gamma.value}, local cyclotomic degree={f}"))
+    status = Status.FAILS if witnesses else Status.HOLDS
+    return Verdict(status, tuple(witnesses), {"primes_checked": primes})
 
 
 def check_c2_sufficient(E: EllipticCurveQ, p: int) -> Verdict:

@@ -2,9 +2,8 @@
 
 Covers global minimal models (Laska-Kraus-Connell), reduction-type
 classification at every prime, quadratic twisting through the short model,
-traces of Frobenius (a Legendre sum for small primes, Shanks-Mestre above
-them), and the local torsion criterion over the cyclotomic tower at
-potentially multiplicative primes.
+and traces of Frobenius (a Legendre sum for small primes, Shanks-Mestre
+above them).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
 from .errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
-from .padic import _check_prime, factorint, kronecker_symbol, multiplicative_order, ord_p
+from .padic import _check_prime, factorint, kronecker_symbol, ord_p
 
 # The largest prime count_points_ap takes: a budget, not a word-size limit.
 # Shanks-Mestre needs O(ell^(1/4)) point operations, but the Legendre sum it
@@ -494,32 +493,6 @@ def count_points_ap(E: EllipticCurveQ, ell: int) -> TraceRecord:
     a = _shanks_mestre(E, ell) if ell >= _SHANKS_MESTRE_FROM else None
     record = E._traces[ell] = TraceRecord(ell, _legendre_trace(E, ell) if a is None else a)
     return record
-
-
-# ---------------------------------------------------------------------------
-# Local torsion over the cyclotomic tower at potentially multiplicative primes.
-
-
-def torsion_in_cyclotomic_local(E: EllipticCurveQ, ell: int, p: int) -> bool:
-    """Whether E has nontrivial p-torsion over Q_ell adjoined all p-power
-    roots of unity.
-
-    The rigid-analytic uniformization reduces this to the twist character:
-    torsion survives iff the character is trivial there, i.e. gamma is a
-    square, or generates the unramified quadratic extension while the local
-    cyclotomic degree ord(ell mod p) is even.
-    """
-    if p % 2 == 0 or p == ell:
-        raise ValueError("p must be an odd prime different from ell")
-    info = reduction_type(E, ell)
-    if info.potentially != Potentially.POT_MULT:
-        raise ValueError(f"curve is not potentially multiplicative at {ell}")
-    gamma = info.twist_class_gamma
-    if gamma == TwistClass.UNIT_SQUARE:
-        return True
-    if gamma == TwistClass.UNIT_NONSQUARE:
-        return multiplicative_order(ell, p) % 2 == 0
-    return False
 
 
 def reduction_summary(E: EllipticCurveQ) -> Dict[int, ReductionInfo]:

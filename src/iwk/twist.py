@@ -1,7 +1,8 @@
 """Constructive quadratic twist forcing the local-torsion condition.
 
-Classifies the potentially multiplicative primes by local torsion and
-cyclotomic-degree parity, then searches for an auxiliary prime q = 1 mod 4
+Reads the offending potentially multiplicative primes and the parity of
+their local cyclotomic degrees (S0 odd, S1 even) from
+`conditions.c2_offenders`, then searches for an auxiliary prime q = 1 mod 4
 meeting a sign table of Legendre constraints and a mod-8 branch; the
 resulting twist parameter q * N1* is re-verified through the checker, which
 is the only trusted oracle.
@@ -14,10 +15,10 @@ from typing import Dict, Optional, Tuple
 
 from ._record import Record
 from .errors import PostconditionFailed, SearchExhausted
-from .padic import isprime, kronecker_symbol, multiplicative_order
+from .padic import isprime, kronecker_symbol
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
-from .conditions import Status, check_c2, _require_good_odd_p
-from .ecq import EllipticCurveQ, quadratic_twist, torsion_in_cyclotomic_local
+from .conditions import Status, c2_offenders, check_c2
+from .ecq import EllipticCurveQ, quadratic_twist
 
 DEFAULT_SEARCH_BOUND = 10**5
 
@@ -113,18 +114,20 @@ def construct_c2_twist(
     E: EllipticCurveQ, p: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> Tuple[EllipticCurveQ, TwistCertificate]:
     """Produce a twist of E satisfying the local-torsion condition, with a
-    machine-checkable certificate; the checker re-verifies the result."""
-    E_min = _require_good_odd_p(E, p)
+    machine-checkable certificate; the checker re-verifies the result.
+    ValueError for a negative search_bound, before any curve work."""
+    if search_bound < 0:
+        raise ValueError(f"search bound {search_bound} must be >= 0")
+    offenders = c2_offenders(E, p)
+    E_min = E.minimal[0]
     S = E_min.j_denominator_primes
-    # the primes of S that keep p-torsion over the local cyclotomic tower
-    offenders = [ell for ell in S if torsion_in_cyclotomic_local(E_min, ell, p)]
     if not offenders:
         cert = TwistCertificate(p=p, S=S, S0=(), S1=(), N1_star=1, d=1, mod8_case="trivial")
         cert.validate()
         return E_min, cert
 
-    S1 = tuple(ell for ell in offenders if multiplicative_order(ell, p) % 2 == 0)
-    S0 = tuple(ell for ell in offenders if ell not in S1)
+    S1 = tuple(ell for ell, f in offenders.items() if f % 2 == 0)
+    S0 = tuple(ell for ell, f in offenders.items() if f % 2)
     base = TwistCertificate(
         p=p, S=S, S0=S0, S1=S1, N1_star=math.prod(map(_star, S1)),
         epsilon=_epsilon(S, S1), mod8_case=_mod8(S, S0, S1)[0],

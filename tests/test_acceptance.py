@@ -6,8 +6,11 @@ Expected values marked as externally documented facts live in criterion 5
 independent computation routes inside the package.
 """
 
+import ast
+import enum
 import itertools
 import math
+import pathlib
 import random
 import time
 
@@ -251,3 +254,40 @@ def test_criterion_8_delta_decomposition_conservation():
         )
         assert parts == total, (trial, parts, total)
     _report(8, started, "50 random group-ring modules: character orders sum exactly")
+
+
+def test_readme_library_quick_tour():
+    # README's "Library quick tour" runs as written; each bare expression
+    # returns the value below, and a trailing comment on it states that value
+    # first (an enum member by name).  The values the assignments' comments
+    # state are checked after the run
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    stated = {
+        "phi(M, 1)": 1,
+        "phi_bruteforce(M, 1)": 1,
+        "fitting_from_minors(diagonal_presentation(M), 1).generator_valuation": 1,
+        "[coinvariant_order(F, m, m) for m in range(1, 6)]": [1, 3, 5, 7, 9],
+        "reduction_type(E, 5077).kind": ReductionKind.MULT_NONSPLIT,
+        "E.j_denominator_primes": (5077,),
+        "check_c2(E, 7).status": Status.HOLDS,
+        "check_c1_str(E, 7).status": Status.HOLDS,
+    }
+    lines = block.splitlines()
+    namespace: dict = {}
+    evaluated = {}
+    for node in ast.parse(block).body:
+        source = ast.get_source_segment(block, node)
+        if not isinstance(node, ast.Expr):
+            exec(source, namespace)
+            continue
+        value = evaluated[source] = eval(source, namespace)
+        assert value == stated.get(source, object()), (source, value)
+        _, hash_, comment = lines[node.end_lineno - 1].partition("#")
+        if hash_:
+            shown = value.name if isinstance(value, enum.Enum) else repr(value)
+            assert comment.strip().startswith(shown), (source, comment)
+    assert evaluated.keys() == stated.keys()
+    assert namespace["mu"] == 0 and namespace["f"].coefficients == (5, 5)  # T^2+5T+5
+    assert [coinvariant_order(namespace["F"], m, 12) for m in range(1, 6)] == [1, 3, 5, 7, 9]
+    assert namespace["cert"].d == -55

@@ -204,10 +204,22 @@ def test_prime_bounds_checked_before_scanning(tmp_path, monkeypatch, capsys):
 
 
 def test_exit_four_on_search_exhausted(capsys):
-    code = main(
-        ["twist", "--curve", "0,-1,1,-10,-20", "--p", "3", "--search-bound", "4"]
-    )
-    assert code == 4
+    # bounds 0 to 4 are a valid budget for 11a1 at p = 3 that holds no
+    # admissible q
+    for bound in range(5):
+        args = ["twist", "--curve", "0,-1,1,-10,-20", "--p", "3", "--search-bound", str(bound)]
+        assert main(args) == 4, bound
+        assert "raise the search bound" in capsys.readouterr().out
+
+
+def test_negative_search_bound_exits_one(capsys):
+    # a negative budget is malformed input, refused before any curve work:
+    # on 11a1 at p = 3, which needs a twist, on 5077a1 at p = 7, which needs
+    # none, and ahead of the bad p = 11 of 11a1
+    for curve, p in (("0,-1,1,-10,-20", "3"), ("0,0,1,-7,6", "7"), ("0,-1,1,-10,-20", "11")):
+        assert main(["twist", "--curve", curve, "--p", p, "--search-bound", "-5"]) == 1, (curve, p)
+        out, err = capsys.readouterr()
+        assert out == "" and "search bound -5 must be >= 0" in err, (curve, p)
 
 
 def test_report_determinism(capsys):
@@ -367,8 +379,10 @@ def test_golden_run_valuations_and_symbols(monkeypatch):
     # scanned prime costs neither, a kept a_ell is read before any check, a
     # good-prime test is one %, a minimal model values only Delta, no CM
     # curve counts a point, and a multiplicative order strips the primes of
-    # `factorint(p - 1)`.  2,871 valuations and 1,309 symbols before, then
-    # 599 and 186 while CM was read after the scan
+    # `factorint(p - 1)`, taken once per offending prime by
+    # `conditions.c2_offenders`.  2,871 valuations and 1,309 symbols before,
+    # then 599 and 186 while CM was read after the scan; 250 orders while
+    # `check_c2` and the twist each took their own
     calls = Counter()
 
     def counted(name, fn):
@@ -378,13 +392,14 @@ def test_golden_run_valuations_and_symbols(monkeypatch):
         return run
 
     for module in (ecq, conditions, twist):
-        for name in ("ord_p", "kronecker_symbol"):
+        for name in ("ord_p", "kronecker_symbol", "multiplicative_order"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     digest = hashlib.sha256()
     assert _golden_run(digest) == 93
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
-    assert (calls["ord_p"], calls["kronecker_symbol"]) == (416, 186), calls
+    counts = (calls["ord_p"], calls["kronecker_symbol"], calls["multiplicative_order"])
+    assert counts == (416, 186, 194), calls
 
 
 def test_one_curve_object_per_p_gives_the_same_reports():

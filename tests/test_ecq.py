@@ -13,7 +13,7 @@ from sympy import factorint, nextprime, prevprime, primerange
 import iwk
 from iwk import ecq
 from iwk.cli import analyze_curve
-from iwk.conditions import cm_order
+from iwk.conditions import c2_offenders, cm_order
 from conftest import CM_LABELS, CORPUS, count_points_naive, trace_naive, transformed
 from iwk.errors import BadReductionPrime, BudgetExceeded, NotMinimalAtPrime, PostconditionFailed
 from iwk.ecq import (
@@ -27,7 +27,6 @@ from iwk.ecq import (
     quadratic_twist,
     reduction_summary,
     reduction_type,
-    torsion_in_cyclotomic_local,
 )
 from iwk.padic import kronecker_symbol, ord_p
 
@@ -491,16 +490,17 @@ def test_count_points_against_legendre_oracle(monkeypatch):
 
 
 def test_torsion_local_split_always_true(corpus):
+    # C2's domain is the good odd p, so only those are asked
     for label, E in corpus:
         for ell, info in reduction_summary(E).items():
             if info.kind == ReductionKind.MULT_SPLIT:
                 for p in (3, 5, 7):
-                    if p != ell:
-                        assert torsion_in_cyclotomic_local(E, ell, p), (label, ell, p)
+                    if E.minimal[0].discriminant % p:
+                        assert ell in c2_offenders(E, p), (label, ell, p)
 
 
 def test_torsion_local_5077(e5077):
-    assert torsion_in_cyclotomic_local(e5077, 5077, 7) is False
+    assert 5077 not in c2_offenders(e5077, 7)
 
 
 def test_torsion_local_even_degree_nonsplit():
@@ -522,7 +522,7 @@ def test_torsion_local_even_degree_nonsplit():
     from iwk.padic import multiplicative_order
 
     assert multiplicative_order(19, 5) == 2
-    assert torsion_in_cyclotomic_local(E, 19, 5) is True
+    assert c2_offenders(E, 5)[19] == 2
 
 
 def test_torsion_local_nonsplit_residue_criterion(corpus):
@@ -537,12 +537,14 @@ def test_torsion_local_nonsplit_residue_criterion(corpus):
                 if p == ell or E.discriminant % p == 0:
                     continue
                 if p % 4 == 3 and kronecker_symbol(-p, ell) == 1:
-                    assert not torsion_in_cyclotomic_local(E, ell, p), (label, ell, p)
+                    assert ell not in c2_offenders(E, p), (label, ell, p)
 
 
 def test_torsion_local_precondition(e5077):
+    with pytest.raises(BadReductionPrime):
+        c2_offenders(e5077, 5077)
     with pytest.raises(ValueError):
-        torsion_in_cyclotomic_local(e5077, 2, 7)  # good reduction at 2
+        c2_offenders(e5077, 2)
 
 
 def test_potentially_multiplicative_primes(e5077, corpus):
