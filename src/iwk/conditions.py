@@ -4,13 +4,15 @@ The local-torsion condition is decided exactly; the CM condition is a table
 lookup on exact j-invariants.  The big-image condition is decided by CM
 first; then by trace witnesses ruling out every maximal-subgroup class of
 GL_2(F_p), and by the negative certificates of `_negative_certificate`
-when the first primes leave a class open.
+when the first primes leave a class open.  j is read as the integer pair
+(num, den) of `EllipticCurveQ.j_invariant`, and a point on X_0(p) is
+reconstructed as a reduced integer pair a/b: no rational arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
+import math
 from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
@@ -201,30 +203,41 @@ def _poly_eval(f: List[int], x):
     return value
 
 
-def _rational_reconstruction(r: int, m: int, H: int) -> Fraction:
+def _ratio_str(a: int, b: int) -> str:
+    """a/b as str(Fraction(a, b)) renders it: a alone when b = 1."""
+    return str(a) if b == 1 else f"{a}/{b}"
+
+
+def _rational_reconstruction(r: int, m: int, H: int) -> Tuple[int, int]:
     """The a/b with |a| <= H and a = b r mod m that the extended Euclidean
-    algorithm on (m, r) gives; the only such one with 0 < b <= H when
-    m > 2 H^2 (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 5)."""
+    algorithm on (m, r) gives, as (a, b) with b > 0 and gcd(a, b) = 1; the
+    only such one with 0 < b <= H when m > 2 H^2 (von zur Gathen and
+    Gerhard, Modern Computer Algebra, ch. 5)."""
     r0, r1, s0, s1 = m, r, 0, 1
     while r1 > H:
         q = r0 // r1
         r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    return Fraction(r1, s1)
+    g = math.gcd(r1, s1) if s1 > 0 else -math.gcd(r1, s1)
+    return r1 // g, s1 // g
 
 
-def _x0_point(j: Fraction, p: int) -> Optional[Fraction]:
-    """The rational t with N(t)/t = j on X_0(p) (p = 3, 5, 7) of least |t|,
-    then least t; None when there is none.  For j != 0, 1728 (both CM).
+def _x0_point(j: Tuple[int, int], p: int) -> Optional[Tuple[int, int]]:
+    """The rational t = a/b, as (a, b) in lowest terms with b > 0, with
+    N(t)/t = j = n/d on X_0(p) (p = 3, 5, 7), of least |t|; None when there
+    is none.  For j != 0, 1728 (both CM).  No two points over one j share
+    |t|: t and -t would give N(t) + N(-t) = 0, but N has positive
+    coefficients.
 
-    With j = n/d, a root a/b in lowest terms of F(t) = d N(t) - n t has
-    b | d and |a| <= |d N(0)| = H.  F(0) != 0, so t = 0 never occurs.  F is
+    A root a/b in lowest terms of F(t) = d N(t) - n t has b | d and
+    |a| <= |d N(0)| = H.  F(0) != 0, so t = 0 never occurs.  F is
     squarefree, since X_0(p) -> X(1) ramifies only above 0, 1728 and the
     cusp, so some prime ell not dividing d has only simple roots of F mod
     ell; each of them is lifted by Newton's method to a modulus above
-    2 H^2, reconstructed, and kept only if F vanishes on it exactly.
+    2 H^2, reconstructed as a reduced integer pair, and kept only if the
+    homogenised sum of F_i a^i b^(deg F - i) is 0 exactly.
     PostconditionFailed if no prime below _X0_PRIME_CAP will do.
     """
-    n, d = j.numerator, j.denominator
+    n, d = j
     F = [d * c for c in _X0_NUMERATOR[p]]
     F[1] -= n
     dF = [i * c for i, c in enumerate(F)][1:]
@@ -235,18 +248,25 @@ def _x0_point(j: Fraction, p: int) -> Optional[Fraction]:
         roots = [r for r in range(ell) if _poly_eval(F, r) % ell == 0]
         if any(_poly_eval(dF, r) % ell == 0 for r in roots):
             continue
-        points = []
+        best = None
         for r in roots:
             m = ell
             while m <= 2 * H * H:
                 m *= m
                 r = (r - _poly_eval(F, r) * pow(_poly_eval(dF, r), -1, m)) % m
-            t = _rational_reconstruction(r, m, H)
-            if _poly_eval(F, t) == 0:
-                points.append(t)
-        return min(points, key=lambda t: (abs(t), t), default=None)
+            a, b = _rational_reconstruction(r, m, H)
+            value, b_power = 0, 1
+            for c in reversed(F):
+                value, b_power = value * a + c * b_power, b_power * b
+            if value:
+                continue
+            # least |t|, by cross-multiplication (b > 0)
+            if best is None or abs(a) * best[1] < abs(best[0]) * b:
+                best = (a, b)
+        return best
     raise PostconditionFailed(
-        f"no prime below {_X0_PRIME_CAP} has only simple roots of X_0({p}) over j = {j}"
+        f"no prime below {_X0_PRIME_CAP} has only simple roots of X_0({p}) "
+        f"over j = {_ratio_str(n, d)}"
     )
 
 
@@ -263,7 +283,7 @@ def _negative_certificate(E_min: EllipticCurveQ, p: int) -> Optional[Tuple[int, 
         return None
     t = _x0_point(E_min.j_invariant, p)
     if t is not None:
-        return p, f"rational {p}-isogeny: X_0({p}) point t = {t}"
+        return p, f"rational {p}-isogeny: X_0({p}) point t = {_ratio_str(*t)}"
     disc = abs(E_min.discriminant)
     if p == 3 and _iroot(disc, 3) ** 3 != disc:
         # No point on X_0(3) leaves psi_3 no rational root, so it splits at
@@ -395,11 +415,11 @@ def cm_order(E: EllipticCurveQ) -> Optional[Tuple[int, bool]]:
     """(discriminant, maximal?) of E's CM order, read off j; None without CM.
     A CM j-invariant is an integer, so a j with a denominator is not read
     against the table."""
-    j = E.j_invariant
-    if j.denominator != 1:
+    num, den = E.j_invariant
+    if den != 1:
         return None
     for j_cm, disc, maximal in CM_J_TABLE:
-        if j.numerator == j_cm:
+        if num == j_cm:
             return disc, maximal
     return None
 

@@ -3,7 +3,8 @@
 Covers global minimal models (Laska-Kraus-Connell), reduction-type
 classification at every prime, quadratic twisting through the short model,
 and traces of Frobenius (a Legendre sum for small primes, Shanks-Mestre
-above them).
+above them).  The j-invariant is the integer pair (num, den) in lowest
+terms, den > 0.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ._record import Record
@@ -68,8 +68,11 @@ class EllipticCurveQ(Record):
         return (self.a1, self.a2, self.a3, self.a4, self.a6)
 
     @functools.cached_property
-    def j_invariant(self) -> Fraction:
-        return Fraction(self.c4**3, self.discriminant)
+    def j_invariant(self) -> Tuple[int, int]:
+        """j = c4^3 / Delta as (num, den) in lowest terms, den > 0."""
+        num, den = self.c4**3, self.discriminant
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        return num // g, den // g
 
     @functools.cached_property
     def bad_primes(self) -> Tuple[int, ...]:
@@ -79,7 +82,7 @@ class EllipticCurveQ(Record):
     @functools.cached_property
     def j_denominator_primes(self) -> Tuple[int, ...]:
         """The primes dividing den(j), read off `bad_primes`: den(j) divides the discriminant."""
-        return tuple(ell for ell in self.bad_primes if self.j_invariant.denominator % ell == 0)
+        return tuple(ell for ell in self.bad_primes if self.j_invariant[1] % ell == 0)
 
     @functools.cached_property
     def minimal(self) -> Tuple["EllipticCurveQ", Tuple[int, int, int, int]]:
@@ -273,7 +276,7 @@ def reduction_type(E: EllipticCurveQ, ell: int) -> ReductionInfo:
         raise NotMinimalAtPrime(f"model is not minimal at {ell}")
     if E.discriminant % ell:
         info = ReductionInfo(ell, ReductionKind.GOOD, Potentially.POT_GOOD)
-    elif E.j_invariant.denominator % ell:  # ord_ell(j) >= 0
+    elif E.j_invariant[1] % ell:  # ord_ell(j) >= 0
         info = ReductionInfo(ell, ReductionKind.ADDITIVE, Potentially.POT_GOOD)
     else:
         gamma = _square_class(-E.c6, ell)

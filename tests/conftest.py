@@ -1,7 +1,7 @@
 """Shared fixtures: a corpus of small standard curves, the naive point
 counts that serve as oracles, the oracles for an X_0(p) witness and for
-the factors of a division polynomial, and check_c1_str with a trace scan
-that runs to the prime bound.
+the factors of a division polynomial, the X_0(p) search in Fractions, and
+check_c1_str with a trace scan that runs to the prime bound.
 
 Labels follow the usual tables; every fact the tests assert about these
 curves is computed (and cross-checked) by the package itself, except the
@@ -109,6 +109,44 @@ def x0_witness_point(p, detail):
     return Fraction(detail[len(prefix):])
 
 
+def reconstruction_eea(r, m, H):
+    """(r1, s1) at which the extended Euclidean algorithm on (m, r) first has
+    r1 <= H, before any normalisation: s1 may be negative."""
+    r0, r1, s0, s1 = m, r, 0, 1
+    while r1 > H:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    return r1, s1
+
+
+def x0_point_fraction(j, p):
+    """The point on X_0(p) over the Fraction j of least |t|, then least t, or
+    None: the search in Fractions that conditions._x0_point made before it
+    worked in integers, kept as its reference."""
+    n, d = j.numerator, j.denominator
+    F = [d * c for c in conditions._X0_NUMERATOR[p]]
+    F[1] -= n
+    dF = [i * c for i, c in enumerate(F)][1:]
+    H = abs(F[0])
+    for ell in primerange(2, conditions._X0_PRIME_CAP):
+        if d % ell == 0:
+            continue
+        roots = [r for r in range(ell) if conditions._poly_eval(F, r) % ell == 0]
+        if any(conditions._poly_eval(dF, r) % ell == 0 for r in roots):
+            continue
+        points = []
+        for r in roots:
+            m = ell
+            while m <= 2 * H * H:
+                m *= m
+                r = (r - conditions._poly_eval(F, r) * pow(conditions._poly_eval(dF, r), -1, m)) % m
+            t = Fraction(*reconstruction_eea(r, m, H))
+            if conditions._poly_eval(F, t) == 0:
+                points.append(t)
+        return min(points, key=lambda t: (abs(t), t), default=None)
+    raise AssertionError(f"no prime below {conditions._X0_PRIME_CAP} separates the roots")
+
+
 def psi_degrees(E_min, p):
     """Sorted degrees of the irreducible factors of psi_p over Q, by sympy's
     factor_list on a Poly built here and not by
@@ -123,7 +161,7 @@ def assert_x0_witness(E_min, p, detail):
     factor of psi_p of degree (p - 1)/2, the kernel polynomial of the
     rational p-isogeny that the point stands for."""
     t = x0_witness_point(p, detail)
-    assert t != 0 and X0_NUMERATOR[p](t) == E_min.j_invariant * t, (E_min.ainvs, p, t)
+    assert t != 0 and X0_NUMERATOR[p](t) == Fraction(*E_min.j_invariant) * t, (E_min.ainvs, p, t)
     sums = {0}
     for degree in psi_degrees(E_min, p):
         sums |= {s + degree for s in sums}

@@ -473,7 +473,7 @@ def test_each_curve_factored_once(monkeypatch):
     # den(j) is read off the one factorization of |Delta|, and the twist,
     # whose j is the same, takes its primes from E: of d = 65 it factors
     # only 13, the part prime to Delta
-    assert E_tw.j_invariant.denominator == 25
+    assert E_tw.j_invariant[1] == 25
     assert factored == [6400, 13]
 
     # on a model of 20a1 scaled by u = 2 only the input's |Delta| is factored:
@@ -487,7 +487,7 @@ def test_each_curve_factored_once(monkeypatch):
     # model's primes are 2, 3, E's and d's, and its minimal model inherits them
     factored.clear()
     E_tw, cert = construct_c2_twist(E, 3)
-    assert cert.d == 65 and factored == [13] and E_tw.j_invariant.denominator == 25
+    assert cert.d == 65 and factored == [13] and E_tw.j_invariant[1] == 25
 
     # the golden run: each standard curve's |Delta_min| once, whatever the
     # number of primes p it is analyzed at, and the q of each distinct twist
@@ -926,7 +926,9 @@ def test_cold_imports(tmp_path):
     # layers (ecq, conditions, twist) unloaded, the curve subcommands the
     # Lambda side (zpmod, iwasawa), analyze also twist, cache all but ecq,
     # and analyze and twist the csv and hashlib that only the CSV reader and
-    # the trace cache use
+    # the trace cache use.  The curve subcommands load neither `fractions`
+    # nor the `decimal` and `numbers` it imports: j and X_0(p) points are
+    # integer pairs
     import subprocess
 
     code = (
@@ -939,7 +941,7 @@ def test_cold_imports(tmp_path):
     )
     never = {"sympy", "numpy", "dataclasses", "inspect"}
     no_curves = never | {"iwk.ecq", "iwk.conditions", "iwk.twist"}
-    curves_only = never | {"iwk.zpmod", "iwk.iwasawa"}
+    curves_only = never | {"iwk.zpmod", "iwk.iwasawa", "fractions", "decimal", "numbers"}
     analyze = curves_only | {"csv", "hashlib", "iwk.twist"}
     steps = [
         (["coinv", "--poly", "T^2+3*T+6", "--p", "3", "--n-range", "1..5"], no_curves),

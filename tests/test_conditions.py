@@ -15,8 +15,10 @@ from conftest import (
     assert_x0_witness,
     check_c1_str_full_scan,
     psi_degrees,
+    reconstruction_eea,
     scan_traces_to_bound,
     transformed,
+    x0_point_fraction,
     x0_witness_point,
 )
 from iwk import conditions, ecq
@@ -169,7 +171,7 @@ def test_c3_non_maximal_orders():
     }
     expected_j = {-12: 54000, -16: 287496, -27: -12288000, -28: 16581375}
     for disc, E in curves.items():
-        assert E.j_invariant == expected_j[disc], disc
+        assert Fraction(*E.j_invariant) == expected_j[disc], disc
         v = check_c3(E)
         assert v.status == Status.FAILS and v.parameters["cm_disc"] == disc
 
@@ -191,7 +193,7 @@ def _cm_curves():
         else:
             k = j * (j - 1728)
             E = EllipticCurveQ(0, 0, 0, -3 * k, -2 * k * (j - 1728))
-        assert E.j_invariant == j
+        assert Fraction(*E.j_invariant) == j
         for d in (1, -1, 5, -7):
             yield disc, E if d == 1 else quadratic_twist(E, d)
 
@@ -406,7 +408,7 @@ def test_c1_str_scan_first_matches_factor_first(corpus, monkeypatch):
                         assert witness["detail"].startswith(f"CM by discriminant {cm[0]}: ")
                         rewitnessed["CM"] += 1
                     else:
-                        t = conditions._x0_point(E.j_invariant, p)
+                        t = Fraction(*conditions._x0_point(E.j_invariant, p))
                         assert witness["detail"] == f"rational {p}-isogeny: X_0({p}) point t = {t}"
                         rewitnessed["X_0"] += 1
                 seen.add(expected["status"])
@@ -554,7 +556,7 @@ def _j_family(j_of_t, p):
             n, d = j.numerator, j.denominator
             k = n * (n - 1728 * d)
             E = EllipticCurveQ(0, 0, 0, -3 * k * d**2, -2 * k * (n - 1728 * d) * d**3)
-            assert E.j_invariant == j
+            assert Fraction(*E.j_invariant) == j
             for tw in (1, -1, 2, -2, 3, -3, 6, -6):
                 E_tw = E if tw == 1 else quadratic_twist(E, tw)
                 if E_tw.minimal[0].discriminant % p:
@@ -576,11 +578,71 @@ def test_x0_family_oracle():
             v = check_c1_str(E, p, 127)
             assert v.status == Status.FAILS and len(v.witnesses) == 1, (t, p, v)
             u = x0_witness_point(p, v.witnesses[0][1])
-            assert X0_NUMERATOR[p](u) == E.j_invariant * u, (t, p, u)
+            assert X0_NUMERATOR[p](u) == Fraction(*E.j_invariant) * u, (t, p, u)
             assert (abs(u), u) <= (abs(t), t), (t, p, u)
             good[p] += 1
     # 24, 32 and 38 of the points give a curve good at p
     assert min(good[p] for p in (3, 5, 7)) >= 20, good
+
+
+def test_rational_reconstruction_normalises_the_sign():
+    # -1 mod m stops the Euclidean algorithm at (1, -1), which is -1/1
+    m = 2**20
+    assert reconstruction_eea(m - 1, m, 10) == (1, -1)
+    assert conditions._rational_reconstruction(m - 1, m, 10) == (-1, 1)
+    # and a negative b with a common factor: 4/-74898 is -2/37449
+    assert reconstruction_eea(14, m, 10) == (4, -74898)
+    assert conditions._rational_reconstruction(14, m, 10) == (-2, 37449)
+
+
+def test_x0_point_matches_fraction_reference(monkeypatch):
+    # the integer search against the Fraction one it replaced: the same point,
+    # rendered the same, or None, at p = 3, 5, 7 on 500 seeded small curves,
+    # the standard curves and the members of the X_0(p) families; and each
+    # reconstruction is the Fraction its Euclidean algorithm stops at.  The
+    # reference breaks ties in |t| by t, and the search need not: N has
+    # positive coefficients, so N(t) + N(-t) > 0 and t, -t never lie over
+    # one j
+    assert all(c > 0 for p in (3, 5, 7) for c in conditions._X0_NUMERATOR[p])
+    reconstructions = []
+    reconstruct = conditions._rational_reconstruction
+
+    def recording(r, m, H):
+        pair = reconstruct(r, m, H)
+        reconstructions.append((reconstruction_eea(r, m, H), pair))
+        return pair
+
+    monkeypatch.setattr(conditions, "_rational_reconstruction", recording)
+    rng = random.Random(20261023)
+    curves = [EllipticCurveQ(*a) for _, a in CORPUS]
+    while len(curves) < len(CORPUS) + 500:
+        try:
+            curves.append(EllipticCurveQ(*(rng.randint(-9, 9) for _ in range(5))))
+        except ValueError:
+            continue
+    for p in (3, 5, 7):
+        curves.extend(E for _, E in _x0_family(p))
+    cases = Counter()
+    for E in curves:
+        j = E.j_invariant
+        if j in ((0, 1), (1728, 1)):  # CM, where F has no simple roots
+            continue
+        for p in (3, 5, 7):
+            t = conditions._x0_point(j, p)
+            expected = x0_point_fraction(Fraction(*j), p)
+            if expected is None:
+                assert t is None, (E.ainvs, p, t)
+                cases["none"] += 1
+                continue
+            assert t == (expected.numerator, expected.denominator), (E.ainvs, p, t)
+            assert conditions._ratio_str(*t) == str(expected), (E.ainvs, p, t)
+            cases["b = 1" if t[1] == 1 else "b > 1"] += 1
+            cases["negative n"] += j[0] < 0
+    for (r1, s1), pair in reconstructions:
+        t = Fraction(r1, s1)
+        assert pair == (t.numerator, t.denominator), (r1, s1, pair)
+        cases["negative b"] += s1 < 0
+    assert all(cases[c] >= 10 for c in ("none", "b = 1", "b > 1", "negative n", "negative b")), cases
 
 
 # ---------------------------------------------------------------------------
@@ -674,30 +736,31 @@ def test_psi3_factored_on_cartan_normalizer_families(monkeypatch):
 def test_x0_point_raises_without_a_separating_prime(monkeypatch):
     # at j = 0, F = (t + 27)(t + 3)^3 on X_0(3): -3 is a repeated root mod
     # every prime, so none will do, and with no prime below the cap the
-    # search raises for any j; it never returns a silent None
+    # search raises for any j; it never returns a silent None.  The message
+    # names j as str(Fraction) renders it
     monkeypatch.setattr(conditions, "_X0_PRIME_CAP", 50)
-    with pytest.raises(PostconditionFailed):
-        conditions._x0_point(Fraction(0), 3)
+    with pytest.raises(PostconditionFailed, match="over j = 0$"):
+        conditions._x0_point((0, 1), 3)
     monkeypatch.setattr(conditions, "_X0_PRIME_CAP", 2)
-    with pytest.raises(PostconditionFailed):
-        conditions._x0_point(Fraction(-2146689, 1664), 7)
+    with pytest.raises(PostconditionFailed, match="over j = -2146689/1664$"):
+        conditions._x0_point((-2146689, 1664), 7)
 
 
 def test_x0_point_needs_no_sympy():
     # the root finder lifts roots mod a small prime: no integer is factored
-    # and no polynomial, so sympy is never loaded
+    # and no polynomial, so sympy is never loaded, and each point is a
+    # reduced integer pair, so `fractions` is not either
     import os
     import subprocess
     import sys
 
     code = (
         "import sys\n"
-        "from fractions import Fraction\n"
         "from iwk.conditions import _x0_point\n"
-        "assert _x0_point(Fraction(-2146689, 1664), 7) == Fraction(-13, 2)\n"
-        "assert _x0_point(Fraction(-122023936, 161051), 5) == Fraction(-1, 11)\n"
-        "assert _x0_point(Fraction(-1, 1), 3) is None\n"
-        "assert 'sympy' not in sys.modules\n"
+        "assert _x0_point((-2146689, 1664), 7) == (-13, 2)\n"
+        "assert _x0_point((-122023936, 161051), 5) == (-1, 11)\n"
+        "assert _x0_point((-1, 1), 3) is None\n"
+        "assert 'sympy' not in sys.modules and 'fractions' not in sys.modules\n"
     )
     src = os.path.dirname(os.path.dirname(conditions.__file__))
     env = {**os.environ, "PYTHONPATH": src}

@@ -80,7 +80,24 @@ def test_curve_invariants(corpus):
 def test_5077a1_basic_data(e5077):
     assert e5077.discriminant == 5077
     assert (e5077.c4, e5077.c6) == (336, -5400)
-    assert e5077.j_invariant == Fraction(336**3, 5077)
+    assert Fraction(*e5077.j_invariant) == Fraction(336**3, 5077)
+
+
+def test_j_invariant_is_the_reduced_fraction():
+    # (num, den) is c4^3 / Delta in lowest terms with den > 0, as Fraction
+    # reduces it; a negative Delta moves its sign to the numerator
+    rng = random.Random(20261023)
+    negative = 0
+    while negative < 300:
+        try:
+            E = EllipticCurveQ(*(rng.randint(-20, 20) for _ in range(5)))
+        except ValueError:
+            continue
+        j = Fraction(E.c4**3, E.discriminant)
+        assert E.j_invariant == (j.numerator, j.denominator), E.ainvs
+        negative += E.discriminant < 0
+    assert EllipticCurveQ(0, -1, 1, -10, -20).j_invariant == (-122023936, 161051)  # 11a1, Delta = -11^5
+    assert EllipticCurveQ(0, 1, 0, 4, 4).j_invariant == (21296, 25)  # 20a1, c4 = -176, Delta = -6400
 
 
 def test_minimal_model_fixed_point(e5077):
@@ -213,7 +230,7 @@ def test_split_detection_routes_agree(corpus):
 
 def _j_valuation(E, ell):
     """ord_ell(j), from j's numerator and denominator (INFINITY at j = 0)."""
-    j = E.j_invariant
+    j = Fraction(*E.j_invariant)
     return ord_p(j.numerator, ell) - ord_p(j.denominator, ell)
 
 

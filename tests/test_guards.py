@@ -91,3 +91,21 @@ def test_sympy_used_only_in_factorint_and_division_poly_reducible():
             if not any(a <= node.lineno <= b for a, b in spans):
                 stray.append(f"{path.relative_to(ROOT)}:{node.lineno}: {use}")
     assert stray == []
+
+
+def test_no_fractions_in_src():
+    # j is the integer pair (num, den) and X_0(p) points are reconstructed
+    # as reduced integer pairs, so no layer needs `fractions`, whose import
+    # brings `decimal` and `numbers` into a cold curve subcommand
+    stray = []
+    for path in source_files():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(m == "fractions" or m.startswith("fractions.") for m in modules):
+                stray.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert stray == []
