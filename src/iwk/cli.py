@@ -20,12 +20,13 @@ from .errors import BudgetExceeded, IwkError, PrecisionExhausted, SearchExhauste
 from .padic import INFINITY, primerange
 from .padic import sympy  # noqa: F401  (bench/tracer.py patches this name)
 
-# Every layer is imported inside the functions that use it, so that a
-# subcommand loads only its own: coinv, fitting and growth no curve layer,
-# analyze, twist and cache no part of the Lambda side (zpmod, iwasawa), and
-# analyze not twist.  analyze_curve, which a corpus run calls thousands of
-# times a second, imports its three layers as modules in one statement:
-# about 0.8 us a call, where a `from .layer import name` costs 1.3 us each.
+# Every layer, and csv and hashlib, is imported inside the functions that
+# use it, so that a subcommand loads only its own: coinv, fitting and growth
+# no curve layer, analyze, twist and cache no part of the Lambda side (zpmod,
+# iwasawa), analyze not twist, and analyze and twist neither csv nor hashlib.
+# analyze_curve, which a corpus run calls thousands of times a second,
+# imports its three layers as modules in one statement: about 0.8 us a call,
+# where a `from .layer import name` costs 1.3 us each.
 if TYPE_CHECKING:
     from .ecq import EllipticCurveQ, TraceRecord
     from .zpmod import FgZpModule, Presentation
@@ -124,7 +125,10 @@ def parse_n_range(text: str) -> List[int]:
     m = re.fullmatch(r"(-?\d+)\s*\.\.\s*(-?\d+)|-?\d+(?:\s*,\s*-?\d+)*", text.strip())
     if not m:
         raise ValueError(f"n-range {text!r} must look like 'lo..hi' or 'n1,n2,...'")
-    levels = list(range(int(m[1]), int(m[2]) + 1)) if m[1] else [int(x) for x in text.split(",")]
+    try:
+        levels = list(range(int(m[1]), int(m[2]) + 1)) if m[1] else [int(x) for x in text.split(",")]
+    except OverflowError:
+        raise ValueError(f"n-range {text!r} spans more levels than a list can hold") from None
     window_levels(levels)
     return levels
 

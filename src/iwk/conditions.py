@@ -347,15 +347,16 @@ def check_c1_str(E: EllipticCurveQ, p: int, prime_bound: int = DEFAULT_PRIME_BOU
     exceptional projective images.  The determinant is onto via the
     cyclotomic character, so full coverage certifies surjectivity mod p.
 
-    CM by an order of discriminant D is read first and FAILS with no trace
+    prime_bound must lie in [0, AP_PRIME_BOUND], and is checked before p.
+    CM by an order of discriminant D is read next and FAILS with no trace
     counted: the image lies in the normalizer of the Cartan subgroup
     (O/pO)^x, which no trace rules out (Serre, Invent. Math. 15 (1972),
     section 4).  Without CM, when the primes below _SHANKS_MESTRE_FROM (or
     the whole bound, if smaller) leave a class open, a witness from
-    _negative_certificate makes the verdict FAILS; every HOLDS verdict seen
-    had its last witness by 67.  Otherwise the scan goes on to prime_bound,
-    which must lie in [0, AP_PRIME_BOUND].  At p = 3 no trace witnesses the
-    nonsplit class, so the verdict there is FAILS or INCONCLUSIVE.
+    _negative_certificate makes the verdict FAILS.  Otherwise the scan goes
+    on to prime_bound, and a HOLDS verdict may take its last witness at any
+    prime up to it.  At p = 3 no trace witnesses the nonsplit class, so the
+    verdict there is FAILS or INCONCLUSIVE.
     """
     check_prime_bound(prime_bound)
     E_min = _require_good_odd_p(E, p)

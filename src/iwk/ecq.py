@@ -148,7 +148,7 @@ def _kraus_ok_2(c4: int, c6: int) -> bool:
 
 
 def _kraus_ok_3(c6: int) -> bool:
-    return ord_p(c6, 3) != 2
+    return c6 % 9 != 0 or c6 % 27 == 0
 
 
 def _minimality_exponent(c4: int, c6: int, disc: int, ell: int) -> int:

@@ -8,12 +8,15 @@ independent computation routes inside the package.
 
 import ast
 import enum
+import importlib
+import inspect
 import itertools
 import json
 import math
 import os
 import pathlib
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -371,3 +374,38 @@ def test_readme_coinv_example_orders(tmp_path):
     _, report = _run_iwk(argv, tmp_path)
     assert report["bounded_tail"] is not True
     assert [row["order"] for row in report["table"] if isinstance(row["order"], int)] == []
+
+
+# The budgets that README's table must hold; any further row is checked too.
+README_BUDGETS = {
+    "ecq.AP_PRIME_BOUND",
+    "conditions.DEFAULT_PRIME_BOUND",
+    "twist.DEFAULT_SEARCH_BOUND",
+    "zpmod.MINOR_BUDGET",
+    "zpmod.phi_bruteforce(budget)",
+}
+
+
+def test_readme_budgets_match_the_code():
+    # each row of README's "Budgets" table names a constant of iwk, or a
+    # function and one of its parameters, and states its value as 128, 10⁶,
+    # 2¹² or 5·10⁶; that value is the constant's, or the parameter's default
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert "\n## Budgets\n" in readme
+    table = readme.split("\n## Budgets\n", 1)[1].split("\n## ", 1)[0]
+    superscripts = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    named = set()
+    for line in table.splitlines():
+        if not line.startswith("| `"):
+            continue
+        name_cell, value_cell = (cell.strip() for cell in line.split("|")[1:3])
+        name = re.fullmatch(r"`((\w+)\.(\w+)(?:\((\w+)\))?)`", name_cell)
+        value = re.fullmatch(r"(?:(\d+)·)?(\d+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)", value_cell)
+        assert name and value, line
+        code = getattr(importlib.import_module(f"iwk.{name[2]}"), name[3])
+        if name[4]:
+            code = inspect.signature(code).parameters[name[4]].default
+        exponent = int(value[3].translate(superscripts)) if value[3] else 1
+        assert int(value[1] or 1) * int(value[2]) ** exponent == code, (line, code)
+        named.add(name[1])
+    assert named >= README_BUDGETS, README_BUDGETS - named

@@ -93,6 +93,10 @@ def test_parse_n_range():
     for malformed in (",", "", "1,,3", "1,3,", ",1", "2..", "..4", "..", "1..2..3", "1 2"):
         with pytest.raises(ValueError, match=re.escape(f"n-range {malformed!r} must look like 'lo..hi' or 'n1,n2,...'")):
             parse_n_range(malformed)
+    # a window too long to list is refused as malformed input
+    for huge in ("1..100000000000000000000000", "-100000000000000000000000..1"):
+        with pytest.raises(ValueError, match=re.escape(f"n-range {huge!r} spans more levels")):
+            parse_n_range(huge)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +386,8 @@ def test_golden_run_valuations_and_symbols(monkeypatch):
     # `factorint(p - 1)`, taken once per offending prime by
     # `conditions.c2_offenders`.  2,871 valuations and 1,309 symbols before,
     # then 599 and 186 while CM was read after the scan; 250 orders while
-    # `check_c2` and the twist each took their own
+    # `check_c2` and the twist each took their own; 416 valuations while
+    # Kraus's condition at 3 took one
     calls = Counter()
 
     def counted(name, fn):
@@ -399,7 +404,7 @@ def test_golden_run_valuations_and_symbols(monkeypatch):
     assert _golden_run(digest) == 93
     assert digest.hexdigest() == GOLDEN_CORPUS_SHA256
     counts = (calls["ord_p"], calls["kronecker_symbol"], calls["multiplicative_order"])
-    assert counts == (416, 186, 194), calls
+    assert counts == (374, 186, 194), calls
 
 
 def test_one_curve_object_per_p_gives_the_same_reports():

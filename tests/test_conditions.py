@@ -454,6 +454,9 @@ def test_c1_str_stop_rule_matches_full_scan(monkeypatch):
         except ValueError:
             continue
         runs.append((E, (3, 5, 7), rng.choice((0, 13, 60, 127, 128, 1000))))
+    # a HOLDS verdict whose last witness is at ell = 73
+    late = EllipticCurveQ(8, 32, 13, 23, 48)
+    runs.append((late, (5,), conditions.DEFAULT_PRIME_BOUND))
     statuses = Counter()
     for E, primes, bound in runs:
         E_ref = EllipticCurveQ(*E.ainvs)
@@ -473,6 +476,9 @@ def test_c1_str_stop_rule_matches_full_scan(monkeypatch):
     assert ("nonsplit_cartan_normalizer",) in open_at_3
     assert any(len(classes) > 1 for classes in open_at_3), open_at_3
     assert {status for (_, status, _) in statuses} == {"HOLDS", "FAILS", "INCONCLUSIVE"}
+    verdict = check_c1_str(late, 5)
+    assert verdict.status == Status.HOLDS
+    assert max(ell for ell, _ in verdict.witnesses) == 73
 
 
 def _twist_parameters(rng, count):

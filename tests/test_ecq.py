@@ -162,6 +162,13 @@ def test_minimal_model_rejects_a_transform_that_fails(monkeypatch, e5077):
             minimal_model(model)
 
 
+def test_kraus_ok_3_is_the_valuation_rule():
+    # Kraus's condition at 3 is ord_3(c6) != 2; _kraus_ok_3 reads it by
+    # divisibility, c6 = 0 (valuation infinite) included
+    for c6 in [0, 9 * (3**40 + 1), -9 * (3**40 + 1), 27 * 3**40, *range(-3**8, 3**8 + 1)]:
+        assert ecq._kraus_ok_3(c6) == (ord_p(c6, 3) != 2), c6
+
+
 def test_minimal_model_idempotent(corpus):
     for label, E in corpus:
         Em, _ = minimal_model(E)
